@@ -244,7 +244,16 @@ def _store_cached(catalog: BraceCatalog) -> None:
                 for name, A in zip(catalog.additive_names, catalog.braces)
             ],
         }
-        path.write_text(json.dumps(payload, sort_keys=True))
+        # Write a temp file beside the target and rename it into place, so a
+        # failed write never leaves a truncated catalog for _load_cached.
+        # The pid keeps concurrent writers apart.
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError:
         pass  # cache is best-effort
 
@@ -288,8 +297,9 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
         (i, name, A.add.table, A.circle.table, desc_bound)
         for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -252,6 +252,13 @@ def _cmd_ybe(args) -> int:
     raise AssertionError(f"unknown ybe subcommand {args.ybe_command}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bracekit",
@@ -302,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="invariant sweep over a whole order")
     p.add_argument("order", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at least 1)")
     p.add_argument("--desc-bound", type=int, default=8)
     p.add_argument("--out", help="write the JSON payload to a file")
     p.set_defaults(func=_cmd_sweep)

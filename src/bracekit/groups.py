@@ -7,7 +7,6 @@ rest of the code write formulas exactly as in additive notation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -180,22 +179,28 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Least subgroup containing ``seed`` (worklist closure under product and inverse)."""
+    """Least subgroup containing ``seed``.
+
+    Grows the set of products of seed elements breadth-first, multiplying
+    each new member on the right by the seed elements only.  In a finite
+    group every element has finite order, so s^-1 = s^(k-1) is itself a
+    product of seeds and the products already form the generated subgroup.
+    The cost is O(|H|·|seed|) table lookups.
+    """
+    gens = set(seed)
+    gens.discard(0)
     members = {0}
-    work = sorted(set(seed))
-    for x in work:
-        members.add(x)
-    while work:
-        x = work.pop()
-        y = G.inverse[x]
-        if y not in members:
-            members.add(y)
-            work.append(y)
-        for a in sorted(members):
-            for z in (G.table[x][a], G.table[a][x]):
+    frontier = [0]
+    while frontier:
+        grown = []
+        for x in frontier:
+            row = G.table[x]
+            for g in gens:
+                z = row[g]
                 if z not in members:
                     members.add(z)
-                    work.append(z)
+                    grown.append(z)
+        frontier = grown
     return Subgroup(frozenset(members), G.order)
 
 
@@ -206,14 +211,14 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Least normal subgroup containing ``seed``."""
-    current = frozenset(subgroup_closure(G, seed).members)
-    while True:
-        conjugates = {G.conjugate(g, x) for g in G.elements() for x in current}
-        nxt = frozenset(subgroup_closure(G, current | conjugates).members)
-        if nxt == current:
-            return Subgroup(current, G.order)
-        current = nxt
+    """Least normal subgroup containing ``seed``.
+
+    The subgroup generated by all conjugates g·s·g⁻¹ of the seed: its
+    generating set is closed under conjugation, so it is normal, and every
+    normal subgroup containing the seed contains those conjugates.
+    """
+    seed = set(seed)
+    return subgroup_closure(G, {G.conjugate(g, s) for g in G.elements() for s in seed})
 
 
 def is_subgroup(G: FiniteGroup, S: frozenset[int]) -> bool:
@@ -241,14 +246,30 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def all_normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tuple[frozenset[int], ...]:
-    """Every normal subgroup, as normal closures of subsets of class representatives."""
+    """Every normal subgroup, as joins of the normal closures of conjugacy classes.
+
+    A normal subgroup is the union of the classes it contains, hence the
+    join of their normal closures; and the subgroup generated by a class is
+    its normal closure, because the class is closed under conjugation.  So
+    starting from the trivial subgroup and joining, with a worklist, every
+    subgroup found with every class closure (N ∨ C = <N ∪ C>, normal when
+    N and C are) reaches each normal subgroup and nothing else.
+    """
     if G.order > bound:
         raise BoundExceededError(f"order {G.order} exceeds the subgroup-lattice bound {bound}")
-    reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] != 0]
-    found: set[frozenset[int]] = set()
-    for r in range(len(reps) + 1):
-        for subset in itertools.combinations(reps, r):
-            found.add(normal_closure(G, subset).members)
+    class_closures = {subgroup_closure(G, cls).members for cls in conjugacy_classes(G)}
+    trivial = frozenset({0})
+    found = {trivial}
+    work = [trivial]
+    while work:
+        N = work.pop()
+        for C in class_closures:
+            if C <= N:
+                continue
+            J = subgroup_closure(G, N | C).members
+            if J not in found:
+                found.add(J)
+                work.append(J)
     return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 

@@ -119,19 +119,34 @@ def _ideal_closure_cached(A: SkewBrace, seed: frozenset[int]) -> frozenset[int]:
 
 
 def non_generators(A: SkewBrace, bound: int = NON_GENERATOR_BOUND) -> frozenset[int]:
-    """Brute-force the non-generating elements over all 2^n subsets."""
+    """The non-generating elements, tested exhaustively over all 2^n subsets.
+
+    a is a non-generator when every subset S with S ∪ {a} generating A as
+    an ideal already generates A.  The ideal closure of each subset comes
+    from the closures of single elements: the least ideal containing
+    S ∪ {s} is closure(S) + closure({s}), because a sum of ideals is an
+    ideal.  So the n singleton closures are computed with ``ideal_closure``
+    and every other subset, as a bitmask, costs one memoized ideal sum;
+    there are only a few distinct ideals, so the memo of sums stays small.
+    """
     if A.order > bound:
         raise BoundExceededError(f"order {A.order} exceeds the non-generator bound {bound}")
     full = _full(A)
-    elements = tuple(A.elements())
-    subsets = [frozenset(c) for r in range(A.order + 1)
-               for c in itertools.combinations(elements, r)]
-    generating = {S for S in subsets if _ideal_closure_cached(A, S) == full}
-    out = set()
-    for a in elements:
-        if all((S | {a}) not in generating or S in generating for S in subsets):
-            out.add(a)
-    return frozenset(out)
+    n = A.order
+    singles = [_ideal_closure_cached(A, frozenset({a})) for a in A.elements()]
+    sums: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    closures = [frozenset({0})] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        key = (closures[mask ^ low], singles[low.bit_length() - 1])
+        if key not in sums:
+            sums[key] = ideal_sum(A, *key)
+        closures[mask] = sums[key]
+    generating = [c == full for c in closures]
+    return frozenset(
+        a for a in A.elements()
+        if all(generating[S] or not generating[S | 1 << a] for S in range(1 << n))
+    )
 
 
 def small_ideal_sum(A: SkewBrace) -> frozenset[int]:

@@ -7,8 +7,9 @@ import itertools
 import pytest
 
 from bracekit.braces import SkewBrace, trivial_brace, verify_brace
-from bracekit.groups import FiniteGroup, verify_group_axioms
+from bracekit.groups import FiniteGroup, Subgroup, conjugacy_classes, verify_group_axioms
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.ideals import ideal_closure
 
 
 @pytest.fixture(autouse=True)
@@ -101,3 +102,63 @@ def permutation_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
         [index[tuple(p[q[i]] for i in range(len(p)))] for q in perms]
         for p in perms
     ]
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier closure algorithms, kept as oracles for the fast ones
+
+
+def oracle_subgroup_closure(G: FiniteGroup, seed) -> Subgroup:
+    """Worklist closure under product and inverse, multiplying every popped
+    element against all members on both sides."""
+    members = {0}
+    work = sorted(set(seed))
+    for x in work:
+        members.add(x)
+    while work:
+        x = work.pop()
+        y = G.inverse[x]
+        if y not in members:
+            members.add(y)
+            work.append(y)
+        for a in sorted(members):
+            for z in (G.table[x][a], G.table[a][x]):
+                if z not in members:
+                    members.add(z)
+                    work.append(z)
+    return Subgroup(frozenset(members), G.order)
+
+
+def oracle_normal_closure(G: FiniteGroup, seed) -> Subgroup:
+    """Fixpoint: close under conjugation and products until stable."""
+    current = frozenset(oracle_subgroup_closure(G, seed).members)
+    while True:
+        conjugates = {G.conjugate(g, x) for g in G.elements() for x in current}
+        nxt = frozenset(oracle_subgroup_closure(G, current | conjugates).members)
+        if nxt == current:
+            return Subgroup(current, G.order)
+        current = nxt
+
+
+def oracle_all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Normal closures of all 2^k subsets of conjugacy-class representatives."""
+    reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] != 0]
+    found: set[frozenset[int]] = set()
+    for r in range(len(reps) + 1):
+        for subset in itertools.combinations(reps, r):
+            found.add(oracle_normal_closure(G, subset).members)
+    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def oracle_non_generators(A: SkewBrace) -> frozenset[int]:
+    """Ideal closure of each of the 2^n subsets, then the non-generator test."""
+    full = frozenset(A.elements())
+    elements = tuple(A.elements())
+    subsets = [frozenset(c) for r in range(A.order + 1)
+               for c in itertools.combinations(elements, r)]
+    generating = {S for S in subsets if ideal_closure(A, S) == full}
+    out = set()
+    for a in elements:
+        if all((S | {a}) not in generating or S in generating for S in subsets):
+            out.add(a)
+    return frozenset(out)

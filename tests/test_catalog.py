@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from bracekit import catalog as catalog_module
 from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
@@ -9,7 +12,8 @@ from bracekit.catalog import (
 )
 from bracekit.formats import dumps
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 6, 7: 1, 8: 47}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 6, 7: 1, 8: 47,
+                9: 4, 10: 6, 11: 1, 12: 38}
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -70,6 +74,29 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     enumerate_braces.cache_clear()
 
 
+def test_failed_cache_write_leaves_no_catalog_file(tmp_path, monkeypatch):
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    enumerate_braces.cache_clear()
+    assert len(enumerate_braces(6).braces) == 6
+    assert list(cachedir.iterdir()) == []
+
+    monkeypatch.undo()
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces.cache_clear()
+    enumerate_braces(6)
+    assert [p.name for p in cachedir.iterdir()] == ["braces_6_holomorph.json"]
+    enumerate_braces.cache_clear()
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         enumerate_braces(4, method="magic")
@@ -88,3 +115,27 @@ def test_sweep_parallel_output_identical():
     serial = catalog_invariant_sweep(cat, jobs=1)
     parallel = catalog_invariant_sweep(cat, jobs=4)
     assert dumps(serial) == dumps(parallel)
+
+
+def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(catalog_module, "ProcessPoolExecutor", SerialPool)
+    cat = enumerate_braces(4)
+    assert dumps(catalog_invariant_sweep(cat, jobs=16)) == dumps(catalog_invariant_sweep(cat))
+    assert pools == [4]
+    catalog_invariant_sweep(enumerate_braces(2), jobs=16)
+    assert pools == [4]

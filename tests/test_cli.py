@@ -143,6 +143,16 @@ def test_sweep_to_file(tmp_path, capsys):
     assert all(bucket["fail"] == 0 for bucket in payload["aggregate"].values())
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "6", "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_ybe_check(swaps_path, capsys):
     assert main(["ybe", "check", swaps_path]) == 0
     out = capsys.readouterr().out
