@@ -26,7 +26,6 @@ from .braces import (  # noqa: F401
     check_star_identities,
     direct_product,
     semidirect_product,
-    star,
     trivial_brace,
     verify_brace,
     zero_brace,

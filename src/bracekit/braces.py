@@ -9,17 +9,18 @@ is the hot inner loop of every closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .groups import (
     BoundExceededError,
     FiniteGroup,
-    GroupAxiomError,
+    _raw_identity,
     element_orders,
-    generating_sequence,
     is_abelian,
+    preserves,
+    search_maps,
     verify_group_axioms,
 )
 
@@ -86,7 +87,6 @@ class SkewBrace:
     add: FiniteGroup
     circle: FiniteGroup
     lam: tuple[tuple[int, ...], ...]
-    circle_inverse: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -105,10 +105,7 @@ class SkewBrace:
         return self.circle.table[a][b]
 
     def circ_inv(self, a: int) -> int:
-        return self.circle_inverse[a]
-
-    def lam_of(self, a: int, b: int) -> int:
-        return self.lam[a][b]
+        return self.circle.inverse[a]
 
     def star(self, a: int, b: int) -> int:
         """a*b = lambda_a(b) - b."""
@@ -153,21 +150,17 @@ def verify_brace(add_table: Sequence[Sequence[int]],
         tuple(add.table[add.inverse[a]][circle.table[a][b]] for b in range(n))
         for a in range(n)
     )
-    return SkewBrace(add=add, circle=circle, lam=lam, circle_inverse=circle.inverse)
+    return SkewBrace(add=add, circle=circle, lam=lam)
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
     """The trivial skew brace: both operations equal to G."""
     identity = tuple(tuple(range(G.order)) for _ in range(G.order))
-    return SkewBrace(add=G, circle=G, lam=identity, circle_inverse=G.inverse)
+    return SkewBrace(add=G, circle=G, lam=identity)
 
 
 def zero_brace() -> SkewBrace:
     return trivial_brace(verify_group_axioms([[0]]))
-
-
-def star(A: SkewBrace, a: int, b: int) -> int:
-    return A.star(a, b)
 
 
 def check_star_identities(A: SkewBrace) -> CheckReport:
@@ -195,17 +188,6 @@ def check_star_identities(A: SkewBrace) -> CheckReport:
     return CheckReport("star-identities", "pass")
 
 
-def _raw_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
-    n = len(table)
-    for e in range(n):
-        try:
-            if all(table[e][a] == a for a in range(n)) and all(table[a][e] == a for a in range(n)):
-                return e
-        except (IndexError, TypeError):
-            return None
-    return None
-
-
 @lru_cache(maxsize=None)
 def _element_profile(A: SkewBrace) -> tuple[tuple[int, int], ...]:
     """Per-element (additive order, multiplicative order) pairs."""
@@ -214,40 +196,17 @@ def _element_profile(A: SkewBrace) -> tuple[tuple[int, int], ...]:
     return tuple(zip(add_orders, circ_orders))
 
 
-def _extend_additive_map(A: SkewBrace, B: SkewBrace,
-                         pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
-    """Close generator images into an additive homomorphism, or None."""
-    m: dict[int, int] = {0: 0}
-    work: list[int] = []
-    for g, img in pairs:
-        if g in m:
-            if m[g] != img:
-                return None
-        else:
-            m[g] = img
-            work.append(g)
-    while work:
-        x = work.pop()
-        for y in list(m):
-            for a, b in ((x, y), (y, x)):
-                z = A.plus(a, b)
-                mz = B.plus(m[a], m[b])
-                if z in m:
-                    if m[z] != mz:
-                        return None
-                else:
-                    m[z] = mz
-                    work.append(z)
-    return m
-
-
 def _is_brace_morphism_map(A: SkewBrace, B: SkewBrace, perm: Sequence[int]) -> bool:
-    n = A.order
-    return all(
-        perm[A.plus(a, b)] == B.plus(perm[a], perm[b])
-        and perm[A.circ(a, b)] == B.circ(perm[a], perm[b])
-        for a in range(n) for b in range(n)
-    )
+    return preserves(perm, A.add.table, B.add.table) and preserves(perm, A.circle.table, B.circle.table)
+
+
+def _brace_maps(A: SkewBrace, B: SkewBrace) -> Iterator[tuple[int, ...]]:
+    """Brace isomorphisms A -> B in search order: additive generators of A
+    are mapped to elements of B with the same (additive, multiplicative)
+    order pair, and each completed map is verified against both tables."""
+    prof_a, prof_b = _element_profile(A), _element_profile(B)
+    return search_maps(A.add, B.add, lambda g, img: prof_b[img] == prof_a[g],
+                       lambda perm: _is_brace_morphism_map(A, B, perm))
 
 
 def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
@@ -261,86 +220,24 @@ def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
         return None
     if is_abelian(A.add) != is_abelian(B.add) or is_abelian(A.circle) != is_abelian(B.circle):
         return None
-    prof_a, prof_b = _element_profile(A), _element_profile(B)
-    if sorted(prof_a) != sorted(prof_b):
+    if sorted(_element_profile(A)) != sorted(_element_profile(B)):
         return None
-
-    gens = generating_sequence(A.add)
-    if not gens:
-        return BraceMorphism((0,), 1, 1)
-
-    def search(i: int, pairs: list[tuple[int, int]]) -> Optional[BraceMorphism]:
-        if i == len(gens):
-            m = _extend_additive_map(A, B, pairs)
-            if m is None or len(m) != A.order or len(set(m.values())) != A.order:
-                return None
-            perm = tuple(m[a] for a in range(A.order))
-            if _is_brace_morphism_map(A, B, perm):
-                return BraceMorphism(perm, A.order, B.order)
-            return None
-        g = gens[i]
-        for img in B.elements():
-            if prof_b[img] != prof_a[g]:
-                continue
-            if _extend_additive_map(A, B, pairs + [(g, img)]) is None:
-                continue
-            result = search(i + 1, pairs + [(g, img)])
-            if result is not None:
-                return result
-        return None
-
-    return search(0, [])
+    perm = next(_brace_maps(A, B), None)
+    return None if perm is None else BraceMorphism(perm, A.order, B.order)
 
 
 def direct_product(A: SkewBrace, B: SkewBrace,
                    bound: int = DEFAULT_PRODUCT_BOUND) -> SkewBrace:
-    """Componentwise product on pairs, indexed as a*|B| + b."""
-    n = A.order * B.order
-    if n > bound:
-        raise BoundExceededError(f"product order {n} exceeds bound {bound}")
-    nb = B.order
-
-    def idx(a: int, b: int) -> int:
-        return a * nb + b
-
-    add = [[0] * n for _ in range(n)]
-    circ = [[0] * n for _ in range(n)]
-    for a1, b1 in itertools.product(A.elements(), B.elements()):
-        for a2, b2 in itertools.product(A.elements(), B.elements()):
-            add[idx(a1, b1)][idx(a2, b2)] = idx(A.plus(a1, a2), B.plus(b1, b2))
-            circ[idx(a1, b1)][idx(a2, b2)] = idx(A.circ(a1, a2), B.circ(b1, b2))
-    return verify_brace(add, circ)
+    """Componentwise product on pairs, indexed as a*|B| + b: the semidirect
+    product with the identity action."""
+    return semidirect_product(A, B, [tuple(A.elements())] * B.order, bound)
 
 
 def brace_automorphism_group(A: SkewBrace, bound: int = 16) -> tuple[BraceMorphism, ...]:
     """All bijections of A preserving both tables, sorted lexicographically."""
     if A.order > bound:
         raise BoundExceededError(f"order {A.order} exceeds the automorphism bound {bound}")
-    prof = _element_profile(A)
-    gens = generating_sequence(A.add)
-    if not gens:
-        return (BraceMorphism((0,), 1, 1),)
-    found: list[tuple[int, ...]] = []
-
-    def search(i: int, pairs: list[tuple[int, int]]) -> None:
-        if i == len(gens):
-            m = _extend_additive_map(A, A, pairs)
-            if m is None or len(m) != A.order or len(set(m.values())) != A.order:
-                return
-            perm = tuple(m[a] for a in range(A.order))
-            if _is_brace_morphism_map(A, A, perm):
-                found.append(perm)
-            return
-        g = gens[i]
-        for img in A.elements():
-            if prof[img] != prof[g]:
-                continue
-            if _extend_additive_map(A, A, pairs + [(g, img)]) is None:
-                continue
-            search(i + 1, pairs + [(g, img)])
-
-    search(0, [])
-    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(set(found)))
+    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(set(_brace_maps(A, A))))
 
 
 def semidirect_product(A: SkewBrace, B: SkewBrace,

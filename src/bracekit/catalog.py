@@ -1,19 +1,16 @@
 """Exhaustive enumeration of skew braces of small order.
 
-The main method walks, for each additive group G, over all lambda maps
+The holomorph method walks, for each additive group G, over all lambda maps
 G -> Aut(G) satisfying the cocycle condition lam_a lam_b = lam_{a + lam_a(b)}
 with a propagating depth-first search.  These assignments are exactly the
 regular subgroups {(x, lam_x)} of the holomorph G ⋊ Aut(G), i.e. the skew
-braces with additive group G.  A brute-force method over circle tables
-serves as the independent oracle for n <= 5.
+braces with additive group G.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -23,15 +20,14 @@ from . import __version__
 from .braces import (
     BraceAxiomError,
     SkewBrace,
-    brace_isomorphic,
     check_star_identities,
     verify_brace,
 )
-from .groups import FiniteGroup, GroupAxiomError, automorphism_group
+from .groups import FiniteGroup, GroupAxiomError, automorphism_group, relabel_table
 from .grouptables import groups_of_order
 from .invariants import brace_report, theorem_checks
 
-EXHAUSTIVE_MAX_ORDER = 5
+METHOD = "holomorph"
 HOLOMORPH_MAX_ORDER = 12
 
 
@@ -40,7 +36,6 @@ class BraceCatalog:
     """Isomorphism-class representatives of all braces of one order."""
 
     order: int
-    method: str
     braces: tuple[SkewBrace, ...]
     additive_names: tuple[str, ...]
     counts: tuple[tuple[str, int], ...]
@@ -117,85 +112,23 @@ def _canonical_circle(G: FiniteGroup, circ: tuple[tuple[int, ...], ...]) -> tupl
     additive automorphism carries one circle table to the other, so this is
     a canonical form for the isomorphism class.
     """
-    n = G.order
-    best = None
-    for phi in automorphism_group(G):
-        inv = [0] * n
-        for i, p in enumerate(phi):
-            inv[p] = i
-        t = tuple(
-            tuple(phi[circ[inv[a]][inv[b]]] for b in range(n)) for a in range(n)
-        )
-        if best is None or t < best:
-            best = t
-    return best
+    return min(relabel_table(circ, phi) for phi in automorphism_group(G))
 
 
-def _circle_tables_exhaustive(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """Brute force over circle tables: per-row candidates are filtered only by
-    the shared identity and the compatibility axiom, then every combination
-    is run through the full brace verifier."""
-    n = G.order
-    identity_row = tuple(range(n))
-    row_candidates: list[list[tuple[int, ...]]] = [[identity_row]]
-    for a in range(1, n):
-        cands = []
-        for perm in itertools.permutations(range(n)):
-            if perm[0] != a:
-                continue
-            neg_a = G.inverse[a]
-            ok = all(
-                perm[G.table[b][c]] == G.table[G.table[perm[b]][neg_a]][perm[c]]
-                for b in range(n) for c in range(n)
-            )
-            if ok:
-                cands.append(perm)
-        row_candidates.append(cands)
-
-    out = []
-    for rows in itertools.product(*row_candidates):
-        try:
-            verify_brace(G.table, rows)
-        except (GroupAxiomError, BraceAxiomError):
-            continue
-        out.append(tuple(rows))
-    return out
-
-
-def _dedup_by_isomorphism(braces: list[SkewBrace]) -> list[SkewBrace]:
-    reps: list[SkewBrace] = []
-    for A in braces:
-        if not any(brace_isomorphic(A, R) for R in reps):
-            reps.append(A)
-    return reps
-
-
-def _build_catalog(n: int, method: str) -> BraceCatalog:
-    if method == "holomorph":
-        if n > HOLOMORPH_MAX_ORDER:
-            raise ValueError(f"holomorph enumeration supports order <= {HOLOMORPH_MAX_ORDER}")
-    elif method == "exhaustive":
-        if n > EXHAUSTIVE_MAX_ORDER:
-            raise ValueError(f"exhaustive enumeration supports order <= {EXHAUSTIVE_MAX_ORDER}")
-    else:
-        raise ValueError(f"unknown enumeration method: {method}")
-
+def _build_catalog(n: int) -> BraceCatalog:
+    if n > HOLOMORPH_MAX_ORDER:
+        raise ValueError(f"holomorph enumeration supports order <= {HOLOMORPH_MAX_ORDER}")
     braces: list[SkewBrace] = []
     names: list[str] = []
     counts: list[tuple[str, int]] = []
     for name, G in groups_of_order(n):
-        if method == "holomorph":
-            tables = _circle_tables_holomorph(G)
-            canon = sorted({_canonical_circle(G, t) for t in tables})
-            classes = [verify_brace(G.table, t) for t in canon]
-        else:
-            tables = _circle_tables_exhaustive(G)
-            candidates = [verify_brace(G.table, t) for t in sorted(tables)]
-            classes = _dedup_by_isomorphism(candidates)
+        tables = _circle_tables_holomorph(G)
+        canon = sorted({_canonical_circle(G, t) for t in tables})
+        classes = [verify_brace(G.table, t) for t in canon]
         braces.extend(classes)
         names.extend([name] * len(classes))
         counts.append((name, len(classes)))
-    return BraceCatalog(n, method, tuple(braces), tuple(names), tuple(counts))
+    return BraceCatalog(n, tuple(braces), tuple(names), tuple(counts))
 
 
 def cache_directory() -> Path:
@@ -205,17 +138,25 @@ def cache_directory() -> Path:
     return Path.home() / ".cache" / "bracekit"
 
 
-def _cache_path(n: int, method: str) -> Path:
-    return cache_directory() / f"braces_{n}_{method}.json"
+def _cache_path(n: int) -> Path:
+    return cache_directory() / f"braces_{n}_{METHOD}.json"
 
 
-def _load_cached(n: int, method: str) -> Optional[BraceCatalog]:
-    path = _cache_path(n, method)
+def _load_cached(n: int) -> Optional[BraceCatalog]:
+    """The stored catalog of order n, or None for a miss.
+
+    A file that is not a JSON object, was written by another version or for
+    another order or method, or whose per-group counts do not list the groups
+    of its entries in order and in number is a miss, as is any entry that
+    fails brace verification.
+    """
+    path = _cache_path(n)
     if not path.is_file():
         return None
     try:
         payload = json.loads(path.read_text())
-        if payload.get("version") != __version__:
+        if not isinstance(payload, dict) or \
+                (payload.get("version"), payload.get("order"), payload.get("method")) != (__version__, n, METHOD):
             return None
         braces = []
         names = []
@@ -223,19 +164,21 @@ def _load_cached(n: int, method: str) -> Optional[BraceCatalog]:
             braces.append(verify_brace(entry["add"], entry["circle"]))
             names.append(entry["group"])
         counts = tuple((name, count) for name, count in payload["counts"])
-    except (KeyError, ValueError, GroupAxiomError, BraceAxiomError, json.JSONDecodeError):
+        if [name for name, count in counts for _ in range(count)] != names:
+            return None
+    except (KeyError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
         return None
-    return BraceCatalog(n, method, tuple(braces), tuple(names), counts)
+    return BraceCatalog(n, tuple(braces), tuple(names), counts)
 
 
 def _store_cached(catalog: BraceCatalog) -> None:
-    path = _cache_path(catalog.order, catalog.method)
+    path = _cache_path(catalog.order)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": __version__,
             "order": catalog.order,
-            "method": catalog.method,
+            "method": METHOD,
             "counts": [list(c) for c in catalog.counts],
             "entries": [
                 {"group": name,
@@ -259,18 +202,17 @@ def _store_cached(catalog: BraceCatalog) -> None:
 
 
 @lru_cache(maxsize=None)
-def enumerate_braces(n: int, method: str = "holomorph",
-                     use_disk_cache: bool = True) -> BraceCatalog:
+def enumerate_braces(n: int, use_disk_cache: bool = True) -> BraceCatalog:
     """All skew braces of order n up to isomorphism.
 
     The catalog is deterministic: groups in a fixed order, class
     representatives in canonical (lexicographically minimal) form.
     """
     if use_disk_cache:
-        cached = _load_cached(n, method)
+        cached = _load_cached(n)
         if cached is not None:
             return cached
-    catalog = _build_catalog(n, method)
+    catalog = _build_catalog(n)
     if use_disk_cache:
         _store_cached(catalog)
     return catalog
@@ -299,6 +241,9 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: loading the pool machinery costs every CLI start
+        # ~15 ms, and only a parallel sweep needs it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
@@ -312,7 +257,7 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
             bucket[status] += 1
     return {
         "order": catalog.order,
-        "method": catalog.method,
+        "method": METHOD,
         "count": len(catalog.braces),
         "group_counts": {name: count for name, count in catalog.counts},
         "rows": rows,

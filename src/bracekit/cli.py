@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success/pass, 1 mathematical check failed, 2 invalid input,
-3 resource bound exceeded.
+3 resource bound exceeded, 4 internal error (an unexpected exception, which
+is a bug in bracekit and never the verdict of a check).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .braces import BraceAxiomError, check_star_identities
-from .catalog import catalog_invariant_sweep, enumerate_braces
+from .catalog import METHOD, catalog_invariant_sweep, enumerate_braces
 from .formats import (
     InputFormatError,
     brace_payload,
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_BOUND_EXCEEDED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _cmd_verify(args) -> int:
@@ -172,8 +174,8 @@ def _cmd_theoremcheck(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    catalog = enumerate_braces(args.order, method=args.method)
-    print(f"order {args.order}: {len(catalog.braces)} braces ({args.method} method)")
+    catalog = enumerate_braces(args.order)
+    print(f"order {args.order}: {len(catalog.braces)} braces ({METHOD} method)")
     for name, count in catalog.counts:
         print(f"  additive {name}: {count}")
     if args.out:
@@ -184,7 +186,7 @@ def _cmd_enumerate(args) -> int:
             fname = f"brace_{args.order}_{i:03d}.json"
             (out / fname).write_text(dumps(brace_payload(A)))
             files.append(fname)
-        manifest = {"order": args.order, "method": args.method,
+        manifest = {"order": args.order, "method": METHOD,
                     "count": len(files), "files": files}
         (out / "manifest.json").write_text(dumps(manifest))
         print(f"wrote {len(files)} brace files and manifest to {out}")
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all braces of one order")
     p.add_argument("order", type=int)
-    p.add_argument("--method", choices=["holomorph", "exhaustive"], default="holomorph")
+    p.add_argument("--method", choices=[METHOD], default=METHOD)
     p.add_argument("--out", help="directory for brace JSON files plus manifest")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -348,6 +350,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND_EXCEEDED
+    except Exception as exc:
+        import traceback  # only a crash needs it; keeps CLI start-up lean
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

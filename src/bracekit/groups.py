@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_BOUND = 16
 
@@ -74,7 +74,7 @@ class Subgroup:
         return tuple(sorted(self.members))
 
 
-def _relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Relabel indices by a permutation: new[p(a)][p(b)] = p(old[a][b])."""
     n = len(table)
     inv = [0] * n
@@ -83,6 +83,19 @@ def _relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple
     return tuple(
         tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n)
     )
+
+
+def _raw_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
+    """The first two-sided identity of a raw table, or None (also for a table
+    too malformed to index)."""
+    n = len(table)
+    for e in range(n):
+        try:
+            if all(table[e][a] == a for a in range(n)) and all(table[a][e] == a for a in range(n)):
+                return e
+        except (IndexError, TypeError):
+            return None
+    return None
 
 
 def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -104,11 +117,7 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}, not an index in 0..{n - 1}")
 
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a for a in range(n)) and all(table[a][e] == a for a in range(n)):
-            identity = e
-            break
+    identity = _raw_identity(table)
     if identity is None:
         raise GroupAxiomError("identity", (), "no two-sided identity element")
 
@@ -138,7 +147,7 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     if identity != 0:
         perm = list(range(n))
         perm[0], perm[identity] = identity, 0
-        tab = _relabel_table(tab, perm)
+        tab = relabel_table(tab, perm)
 
     inverse = [0] * n
     for a in range(n):
@@ -286,9 +295,14 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _extend_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
-    """Close a partial map on generators into a homomorphism on the generated
-    subgroup, or return None on inconsistency."""
+def extend_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
+    """Close generator images into a homomorphism from the generated subgroup.
+
+    ``pairs`` lists (g, image) with g in G and image in H.  The map starts
+    as 0 -> 0 plus the pairs and is closed under products in both orders;
+    the result is the unique homomorphism on the subgroup the g generate
+    that agrees with the pairs, or None when no such homomorphism exists.
+    """
     m: dict[int, int] = {0: 0}
     work: list[int] = []
     for g, img in pairs:
@@ -313,14 +327,50 @@ def _extend_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]]) ->
     return m
 
 
-def _hom_is_table_automorphism(G: FiniteGroup, m: dict[int, int]) -> bool:
-    if len(m) != G.order or len(set(m.values())) != G.order:
-        return False
-    perm = [m[a] for a in range(G.order)]
+def preserves(perm: Sequence[int], src_table: Sequence[Sequence[int]],
+              dst_table: Sequence[Sequence[int]]) -> bool:
+    """Whether perm[src[a][b]] == dst[perm[a]][perm[b]] for every a, b."""
+    n = len(src_table)
     return all(
-        perm[G.table[a][b]] == G.table[perm[a]][perm[b]]
-        for a in range(G.order) for b in range(G.order)
+        perm[src_table[a][b]] == dst_table[perm[a]][perm[b]]
+        for a in range(n) for b in range(n)
     )
+
+
+def search_maps(G: FiniteGroup, H: FiniteGroup,
+                fits: Callable[[int, int], bool],
+                accept: Callable[[tuple[int, ...]], bool]) -> Iterator[tuple[int, ...]]:
+    """Bijections G -> H found by backtracking over generator images.
+
+    Walks ``generating_sequence(G)`` in order, trying the images in H in
+    increasing index order.  ``fits(g, img)`` prunes: an image is tried only
+    if it fits and the images chosen so far still extend to a homomorphism
+    (``extend_hom``).  Each completed extension that is a bijection is
+    passed, as an index permutation, to ``accept``, which verifies it
+    against the full tables; the accepted maps are yielded lazily, in search
+    order.  The order-1 group has an empty generating sequence and yields
+    the single map (0,) if accepted.
+    """
+    gens = generating_sequence(G)
+    n = G.order
+
+    def search(i: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        if i == len(gens):
+            if len(m) == n and len(set(m.values())) == n:
+                perm = tuple(m[a] for a in range(n))
+                if accept(perm):
+                    yield perm
+            return
+        g = gens[i]
+        for img in H.elements():
+            if not fits(g, img):
+                continue
+            step = pairs + [(g, img)]
+            extended = extend_hom(G, H, step)
+            if extended is not None:
+                yield from search(i + 1, step, extended)
+
+    return search(0, [], {0: 0})
 
 
 @lru_cache(maxsize=None)
@@ -332,28 +382,10 @@ def automorphism_group(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tupl
     """
     if G.order > bound:
         raise BoundExceededError(f"order {G.order} exceeds the automorphism bound {bound}")
-    gens = generating_sequence(G)
     orders = element_orders(G)
-    found: list[tuple[int, ...]] = []
-
-    def search(i: int, pairs: list[tuple[int, int]]) -> None:
-        if i == len(gens):
-            m = _extend_hom(G, G, pairs)
-            if m is not None and _hom_is_table_automorphism(G, m):
-                found.append(tuple(m[a] for a in range(G.order)))
-            return
-        g = gens[i]
-        for img in G.elements():
-            if orders[img] != orders[g]:
-                continue
-            if _extend_hom(G, G, pairs + [(g, img)]) is None:
-                continue
-            search(i + 1, pairs + [(g, img)])
-
-    if not gens:
-        return ((0,),) if G.order == 1 else (tuple(range(G.order)),)
-    search(0, [])
-    return tuple(sorted(set(found)))
+    return tuple(sorted(set(search_maps(
+        G, G, lambda g, img: orders[img] == orders[g],
+        lambda perm: preserves(perm, G.table, G.table)))))
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup | frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -6,9 +6,9 @@ import itertools
 
 import pytest
 
-from bracekit.braces import SkewBrace, trivial_brace, verify_brace
-from bracekit.groups import FiniteGroup, Subgroup, conjugacy_classes, verify_group_axioms
-from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.braces import BraceAxiomError, SkewBrace, brace_isomorphic, trivial_brace, verify_brace
+from bracekit.groups import FiniteGroup, GroupAxiomError, Subgroup, conjugacy_classes, verify_group_axioms
+from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
 from bracekit.ideals import ideal_closure
 
 
@@ -78,6 +78,65 @@ def brute_automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
                for a in range(n) for b in range(n)):
             out.append(perm)
     return out
+
+
+def brute_brace_automorphisms(A: SkewBrace) -> list[tuple[int, ...]]:
+    """All brace automorphisms by testing every permutation fixing 0 against
+    both tables."""
+    n = A.order
+    out = []
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0, *rest)
+        if all(perm[A.plus(a, b)] == A.plus(perm[a], perm[b])
+               and perm[A.circ(a, b)] == A.circ(perm[a], perm[b])
+               for a in range(n) for b in range(n)):
+            out.append(perm)
+    return out
+
+
+def _circle_tables_exhaustive(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """Brute force over circle tables: per-row candidates are filtered only by
+    the shared identity and the compatibility axiom, then every combination
+    is run through the full brace verifier."""
+    n = G.order
+    identity_row = tuple(range(n))
+    row_candidates: list[list[tuple[int, ...]]] = [[identity_row]]
+    for a in range(1, n):
+        cands = []
+        for perm in itertools.permutations(range(n)):
+            if perm[0] != a:
+                continue
+            neg_a = G.inverse[a]
+            ok = all(
+                perm[G.table[b][c]] == G.table[G.table[perm[b]][neg_a]][perm[c]]
+                for b in range(n) for c in range(n)
+            )
+            if ok:
+                cands.append(perm)
+        row_candidates.append(cands)
+
+    out = []
+    for rows in itertools.product(*row_candidates):
+        try:
+            verify_brace(G.table, rows)
+        except (GroupAxiomError, BraceAxiomError):
+            continue
+        out.append(tuple(rows))
+    return out
+
+
+def oracle_enumerate(n: int) -> list[SkewBrace]:
+    """All skew braces of order n up to isomorphism, by brute force over
+    circle tables and pairwise isomorphism tests; practical for n <= 5."""
+    reps: list[SkewBrace] = []
+    for _, G in groups_of_order(n):
+        group_reps: list[SkewBrace] = []
+        for t in sorted(_circle_tables_exhaustive(G)):
+            A = verify_brace(G.table, t)
+            if not any(brace_isomorphic(A, R) for R in group_reps):
+                group_reps.append(A)
+        reps.extend(group_reps)
+    return reps
 
 
 def brute_ideals(A: SkewBrace) -> list[frozenset[int]]:

@@ -36,6 +36,8 @@ from bracekit.ybe import (
     triangle,
 )
 
+from conftest import oracle_enumerate
+
 
 def corpus(max_order):
     for n in range(1, max_order + 1):
@@ -65,10 +67,10 @@ def test_criterion_1_axiom_suite():
 def test_criterion_2_enumeration_cross_check():
     counts = {}
     for n in range(1, 6):
-        counts[n] = len(enumerate_braces(n, method="holomorph").braces)
-        assert counts[n] == len(enumerate_braces(n, method="exhaustive").braces)
+        counts[n] = len(enumerate_braces(n).braces)
+        assert counts[n] == len(oracle_enumerate(n))
     assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 1}
-    _done(2, "holomorph and exhaustive counts agree for n in 1..5")
+    _done(2, "holomorph and brute-force counts agree for n in 1..5")
 
 
 def test_criterion_3_weight_ground_truth():

@@ -15,11 +15,12 @@ from bracekit.braces import (
     verify_brace,
     zero_brace,
 )
+from bracekit.catalog import enumerate_braces
 from bracekit.groups import GroupAxiomError, abelian_invariants
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ideals import a2
 
-from conftest import klein_group, radical_ring_brace
+from conftest import brute_brace_automorphisms, klein_group, radical_ring_brace
 
 
 def test_trivial_c2_brace():
@@ -182,3 +183,11 @@ def test_brace_automorphism_groups(ring_brace):
     for p in perms:
         for q in perms:
             assert tuple(p[q[i]] for i in range(4)) in perms
+
+
+def test_brace_automorphism_group_matches_brute_force():
+    braces = [zero_brace()] + [A for n in range(1, 7) for A in enumerate_braces(n).braces]
+    for A in braces:
+        auts = brace_automorphism_group(A)
+        assert all(m.source_order == m.target_order == A.order for m in auts)
+        assert [m.mapping for m in auts] == brute_brace_automorphisms(A)

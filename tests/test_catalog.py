@@ -1,8 +1,9 @@
+import concurrent.futures
+import json
 from pathlib import Path
 
 import pytest
 
-from bracekit import catalog as catalog_module
 from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
@@ -10,7 +11,10 @@ from bracekit.catalog import (
     catalog_invariant_sweep,
     enumerate_braces,
 )
+from bracekit.cli import main
 from bracekit.formats import dumps
+
+from conftest import oracle_enumerate
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 6, 7: 1, 8: 47,
                 9: 4, 10: 6, 11: 1, 12: 38}
@@ -23,11 +27,11 @@ def test_counts(n, count):
 
 def test_methods_agree_on_small_orders():
     for n in range(1, 6):
-        hol = enumerate_braces(n, method="holomorph")
-        exh = enumerate_braces(n, method="exhaustive")
-        assert len(hol.braces) == len(exh.braces)
+        hol = enumerate_braces(n)
+        exh = oracle_enumerate(n)
+        assert len(hol.braces) == len(exh)
         # same classes, not merely the same count
-        for A in exh.braces:
+        for A in exh:
             assert sum(1 for B in hol.braces if brace_isomorphic(A, B)) == 1
 
 
@@ -56,8 +60,8 @@ def test_catalog_order_4_group_breakdown():
 
 
 def test_build_is_deterministic():
-    a = _build_catalog(6, "holomorph")
-    b = _build_catalog(6, "holomorph")
+    a = _build_catalog(6)
+    b = _build_catalog(6)
     assert [A.circle.table for A in a.braces] == [B.circle.table for B in b.braces]
     assert a.additive_names == b.additive_names
 
@@ -97,9 +101,28 @@ def test_failed_cache_write_leaves_no_catalog_file(tmp_path, monkeypatch):
     enumerate_braces.cache_clear()
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        enumerate_braces(4, method="magic")
+def test_cache_with_a_missing_entry_is_rebuilt(tmp_path, monkeypatch):
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces.cache_clear()
+    enumerate_braces(8)
+    path = cachedir / "braces_8_holomorph.json"
+    payload = json.loads(path.read_text())
+    del payload["entries"][5]
+    for corrupt in (payload, []):
+        path.write_text(json.dumps(corrupt, sort_keys=True))
+        enumerate_braces.cache_clear()
+        assert len(enumerate_braces(8).braces) == 47
+        assert len(json.loads(path.read_text())["entries"]) == 47
+    enumerate_braces.cache_clear()
+
+
+def test_unknown_method_rejected(capsys):
+    for method in ("exhaustive", "magic"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "4", "--method", method])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sweep_order_6_all_weight_one():
@@ -133,7 +156,7 @@ def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(catalog_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cat = enumerate_braces(4)
     assert dumps(catalog_invariant_sweep(cat, jobs=16)) == dumps(catalog_invariant_sweep(cat))
     assert pools == [4]

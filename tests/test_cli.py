@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from bracekit.braces import trivial_brace
+from bracekit import cli
 from bracekit.cli import main
 from bracekit.formats import save_brace, save_solution
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
@@ -150,6 +151,18 @@ def test_sweep_rejects_jobs_below_one(jobs, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_crash_exits_4_not_check_failed(ring_path, monkeypatch, capsys):
+    def crash(A):
+        raise AssertionError("factor product is not isomorphic to A/Rad(A)")
+
+    monkeypatch.setattr(cli, "wedderburn_decompose", crash)
+    assert main(["decompose", ring_path]) == cli.EXIT_INTERNAL_ERROR == 4
+    captured = capsys.readouterr()
+    assert "internal error: AssertionError: factor product" in captured.err
+    assert "Traceback" in captured.err
     assert captured.out == ""
 
 
