@@ -148,7 +148,9 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
     A file that is not a JSON object, was written by another version or for
     another order or method, or whose per-group counts do not list the groups
     of its entries in order and in number is a miss, as is any entry that
-    fails brace verification.
+    fails brace verification.  So is a group whose circle tables are not
+    strictly increasing, as ``_build_catalog`` writes them: a repeated class
+    is caught.  Entries are not checked to be in canonical form.
     """
     path = _cache_path(n)
     if not path.is_file():
@@ -165,6 +167,9 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
             names.append(entry["group"])
         counts = tuple((name, count) for name, count in payload["counts"])
         if [name for name, count in counts for _ in range(count)] != names:
+            return None
+        if any(g == h and not A.circle.table < B.circle.table
+               for g, h, A, B in zip(names, names[1:], braces, braces[1:])):
             return None
     except (KeyError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
         return None

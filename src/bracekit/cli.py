@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success/pass, 1 mathematical check failed, 2 invalid input,
-3 resource bound exceeded, 4 internal error (an unexpected exception, which
-is a bug in bracekit and never the verdict of a check).
+3 resource bound exceeded (also an input file declaring an order or size
+above ``formats.MAX_INPUT_ORDER``), 4 internal error (an unexpected
+exception, which is a bug in bracekit and never the verdict of a check).
+Invalid input is recognized where it enters: a bad file, a table failing a
+group or brace axiom, an order without a catalog, or a degenerate solution
+given to a command that needs a non-degenerate one.  Any other exception,
+a stray ``ValueError`` from inside the library included, exits 4.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .braces import BraceAxiomError, check_star_identities
-from .catalog import METHOD, catalog_invariant_sweep, enumerate_braces
+from .catalog import (
+    HOLOMORPH_MAX_ORDER,
+    METHOD,
+    BraceCatalog,
+    catalog_invariant_sweep,
+    enumerate_braces,
+)
 from .formats import (
     InputFormatError,
     brace_payload,
@@ -36,6 +47,7 @@ from .ideals import (
 )
 from .invariants import brace_report, radical, theorem_checks, weight, wedderburn_decompose
 from .ybe import (
+    SetSolution,
     check_solution,
     derived_solution,
     is_derived_form,
@@ -145,10 +157,28 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _catalog(order) -> BraceCatalog:
+    """The brace catalog of a command-line order; an order with no catalog
+    is invalid input."""
+    try:
+        n = int(order)
+    except ValueError:
+        raise InputFormatError(f"order must be an integer, got {order!r}") from None
+    if not 1 <= n <= HOLOMORPH_MAX_ORDER:
+        raise InputFormatError(f"braces are enumerated for orders 1..{HOLOMORPH_MAX_ORDER}, got {n}")
+    return enumerate_braces(n)
+
+
+def _nondegenerate_solution(path: str) -> SetSolution:
+    S = load_solution(path)
+    if not check_solution(S).is_nondegenerate:
+        raise InputFormatError(f"{path}: this command needs a non-degenerate solution")
+    return S
+
+
 def _resolve_theoremcheck_braces(target: str):
     if target.startswith("corpus:"):
-        n = int(target.split(":", 1)[1])
-        catalog = enumerate_braces(n)
+        catalog = _catalog(target.split(":", 1)[1])
         return list(zip(catalog.additive_names, catalog.braces))
     return [(target, load_brace(target))]
 
@@ -174,7 +204,7 @@ def _cmd_theoremcheck(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    catalog = enumerate_braces(args.order)
+    catalog = _catalog(args.order)
     print(f"order {args.order}: {len(catalog.braces)} braces ({METHOD} method)")
     for name, count in catalog.counts:
         print(f"  additive {name}: {count}")
@@ -194,7 +224,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    catalog = enumerate_braces(args.order)
+    catalog = _catalog(args.order)
     payload = catalog_invariant_sweep(catalog, jobs=args.jobs,
                                       desc_bound=args.desc_bound)
     text = dumps(payload)
@@ -231,7 +261,7 @@ def _cmd_ybe(args) -> int:
             print(dumps(solution_payload(S)), end="")
         return EXIT_OK
     if args.ybe_command == "derived":
-        S = load_solution(args.solution)
+        S = _nondegenerate_solution(args.solution)
         D = derived_solution(S)
         if args.out:
             save_solution(D, args.out)
@@ -244,7 +274,7 @@ def _cmd_ybe(args) -> int:
             print(f"indecomposable: {indecomposable} (orbits: {orbits})", file=sys.stderr)
         return EXIT_OK
     if args.ybe_command == "group":
-        S = load_solution(args.solution)
+        S = _nondegenerate_solution(args.solution)
         summary = permutation_group(S)
         print(f"permutation group order: {summary.order}")
         print(f"generators: {[list(g) for g in summary.generators]}")
@@ -342,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, GroupAxiomError, BraceAxiomError, ValueError) as exc:
+    except (InputFormatError, GroupAxiomError, BraceAxiomError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         if isinstance(exc, (GroupAxiomError, BraceAxiomError)):
             print(f"  axiom: {exc.axiom}, witness: {exc.witness}", file=sys.stderr)

@@ -7,8 +7,13 @@ from pathlib import Path
 from typing import Union
 
 from .braces import SkewBrace, verify_brace
-from .groups import FiniteGroup, verify_group_axioms
+from .groups import BoundExceededError, FiniteGroup, verify_group_axioms
 from .ybe import SetSolution, make_solution
+
+# The largest order or size a file may declare, checked before any table is
+# read: the same bound as braces.DEFAULT_PRODUCT_BOUND, so every table
+# bracekit builds can be loaded back.
+MAX_INPUT_ORDER = 256
 
 
 class InputFormatError(ValueError):
@@ -25,6 +30,15 @@ def _load_json(path: Union[str, Path]) -> dict:
     if not isinstance(payload, dict):
         raise InputFormatError(f"{path}: top-level value must be an object")
     return payload
+
+
+def _declared_order(payload: dict, key: str) -> int:
+    n = payload.get(key)
+    if not isinstance(n, int) or n <= 0:
+        raise InputFormatError(f"'{key}' must be a positive integer")
+    if n > MAX_INPUT_ORDER:
+        raise BoundExceededError(f"'{key}' is {n}, above the input bound {MAX_INPUT_ORDER}")
+    return n
 
 
 def _check_table(payload: dict, key: str, n: int) -> list[list[int]]:
@@ -44,18 +58,14 @@ def _check_table(payload: dict, key: str, n: int) -> list[list[int]]:
 def load_group(path: Union[str, Path]) -> FiniteGroup:
     """Group JSON: {"order": n, "table": [[...]]}."""
     payload = _load_json(path)
-    n = payload.get("order")
-    if not isinstance(n, int) or n <= 0:
-        raise InputFormatError("'order' must be a positive integer")
+    n = _declared_order(payload, "order")
     return verify_group_axioms(_check_table(payload, "table", n))
 
 
 def load_brace(path: Union[str, Path]) -> SkewBrace:
     """Brace JSON: {"order": n, "add": [[...]], "circle": [[...]]}."""
     payload = _load_json(path)
-    n = payload.get("order")
-    if not isinstance(n, int) or n <= 0:
-        raise InputFormatError("'order' must be a positive integer")
+    n = _declared_order(payload, "order")
     add = _check_table(payload, "add", n)
     circle = _check_table(payload, "circle", n)
     return verify_brace(add, circle)
@@ -76,9 +86,7 @@ def save_brace(A: SkewBrace, path: Union[str, Path]) -> None:
 def load_solution(path: Union[str, Path]) -> SetSolution:
     """Solution JSON: {"size": n, "sigma": [[...]], "tau": [[...]]}."""
     payload = _load_json(path)
-    n = payload.get("size")
-    if not isinstance(n, int) or n <= 0:
-        raise InputFormatError("'size' must be a positive integer")
+    n = _declared_order(payload, "size")
     sigma = _check_table(payload, "sigma", n)
     tau = _check_table(payload, "tau", n)
     return make_solution(sigma, tau)

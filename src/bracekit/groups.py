@@ -106,17 +106,44 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     GroupAxiomError with a witness on the first failure.  If the identity is
     not at index 0 the table is relabeled by the transposition moving it
     there.
+
+    Associativity is Light's test: the s with (a·s)·c = a·(s·c) for all a, c
+    include the identity and are closed under products (if s and t pass, so
+    does s·t), so they form a subgroup, and once they include elements whose
+    products reach every index they are every element.  Only the k elements
+    of ``generating_sequence``, whose products from the identity reach every
+    index, are checked, at O(n²k) cost.  If one fails, the full
+    lexicographic O(n³) scan runs and raises its first failing triple, so
+    the witness is the scan's.
+
+    The shape check runs on every call.  The rest is memoized on the table
+    as a tuple of tuples: after the shape check every entry is an int index,
+    so equal keys are equal tables (a float such as 1.0 hashes like 1 but
+    never gets past the shape check).  Tables with an entry of an int
+    subclass such as bool bypass the memo, so they come back as given.
+    Failures raise and are never cached.
     """
     n = len(table)
     if n == 0:
         raise GroupAxiomError("shape", (), "empty table")
+    plain_ints = True
     for a, row in enumerate(table):
         if len(row) != n:
             raise GroupAxiomError("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+            continue
         for b, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}, not an index in 0..{n - 1}")
+        plain_ints = False  # an int subclass, such as bool
+    tab = tuple(tuple(row) for row in table)
+    return (_verify_shaped if plain_ints else _verify_shaped.__wrapped__)(tab)
 
+
+@lru_cache(maxsize=None)
+def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """The checks of ``verify_group_axioms`` after the shape check."""
+    n = len(table)
     identity = _raw_identity(table)
     if identity is None:
         raise GroupAxiomError("identity", (), "no two-sided identity element")
@@ -133,17 +160,7 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
         if len(col) != n:
             raise GroupAxiomError("latin-square", (b,), f"column {b} is not a permutation")
 
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise GroupAxiomError(
-                        "associativity", (a, b, c),
-                        f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})",
-                    )
-
-    tab = tuple(tuple(row) for row in table)
+    tab = table
     if identity != 0:
         perm = list(range(n))
         perm[0], perm[identity] = identity, 0
@@ -155,7 +172,30 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
             if tab[a][b] == 0:
                 inverse[a] = b
                 break
-    return FiniteGroup(order=n, table=tab, inverse=tuple(inverse))
+    G = FiniteGroup(order=n, table=tab, inverse=tuple(inverse))
+
+    # Light's test on the relabeled table, which is associative exactly when
+    # the raw one is; the scan reports its witness in raw indices.
+    for s in generating_sequence(G):
+        # row (a·s) of the table against the row c ↦ a·(s·c), for every a
+        row_s = tab[s]
+        if any(tab[row[s]] != tuple(map(row.__getitem__, row_s)) for row in tab):
+            _associativity_scan(table)
+    return G
+
+
+def _associativity_scan(table: Sequence[Sequence[int]]) -> None:
+    """Raise on the lexicographically first (a, b, c) with (a·b)·c != a·(b·c)."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise GroupAxiomError(
+                        "associativity", (a, b, c),
+                        f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})",
+                    )
 
 
 @lru_cache(maxsize=None)

@@ -116,6 +116,7 @@ def ideal_sum(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int
     return frozenset(subgroup_closure(A.add, set(I) | set(J)).members)
 
 
+@lru_cache(maxsize=None)
 def quotient_brace(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
     """Brace on the additive cosets of an ideal; returns (quotient, projection).
 

@@ -118,6 +118,7 @@ def _ideal_closure_cached(A: SkewBrace, seed: frozenset[int]) -> frozenset[int]:
     return ideal_closure(A, seed)
 
 
+@lru_cache(maxsize=None)
 def non_generators(A: SkewBrace, bound: int = NON_GENERATOR_BOUND) -> frozenset[int]:
     """The non-generating elements, tested exhaustively over all 2^n subsets.
 
@@ -207,6 +208,7 @@ def _subset_search(A: SkewBrace, bound: int = 16) -> WeightCertificate:
     raise AssertionError("the full element set always generates")
 
 
+@lru_cache(maxsize=None)
 def weight(A: SkewBrace, use_radical_opt: bool = True, bound: int = 16) -> WeightCertificate:
     """Minimal number of elements generating A as an ideal (1 for the zero brace).
 

@@ -6,8 +6,23 @@ import itertools
 
 import pytest
 
-from bracekit.braces import BraceAxiomError, SkewBrace, brace_isomorphic, trivial_brace, verify_brace
-from bracekit.groups import FiniteGroup, GroupAxiomError, Subgroup, conjugacy_classes, verify_group_axioms
+from bracekit.braces import (
+    BraceAxiomError,
+    CheckReport,
+    SkewBrace,
+    brace_isomorphic,
+    trivial_brace,
+    verify_brace,
+)
+from bracekit.groups import (
+    FiniteGroup,
+    GroupAxiomError,
+    Subgroup,
+    _raw_identity,
+    conjugacy_classes,
+    relabel_table,
+    verify_group_axioms,
+)
 from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
 from bracekit.ideals import ideal_closure
 
@@ -221,3 +236,91 @@ def oracle_non_generators(A: SkewBrace) -> frozenset[int]:
         if all((S | {a}) not in generating or S in generating for S in subsets):
             out.add(a)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier verification scans, kept as oracles for the
+# generator-based kernels: the same checks over every triple, unmemoized
+
+
+def oracle_verify_group_axioms(table) -> FiniteGroup:
+    """Shape, identity, inverses, Latin square, then associativity over all
+    n³ triples in lexicographic order."""
+    n = len(table)
+    if n == 0:
+        raise GroupAxiomError("shape", (), "empty table")
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise GroupAxiomError("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}")
+    identity = _raw_identity(table)
+    if identity is None:
+        raise GroupAxiomError("identity", (), "no two-sided identity element")
+    for a in range(n):
+        if not any(table[a][b] == identity and table[b][a] == identity for b in range(n)):
+            raise GroupAxiomError("inverse", (a,), f"element {a} has no two-sided inverse")
+    for a in range(n):
+        if len(set(table[a])) != n:
+            raise GroupAxiomError("latin-square", (a,), f"row {a} is not a permutation")
+    for b in range(n):
+        if len({table[a][b] for a in range(n)}) != n:
+            raise GroupAxiomError("latin-square", (b,), f"column {b} is not a permutation")
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise GroupAxiomError("associativity", (a, b, c), "(a*b)*c != a*(b*c)")
+    tab = tuple(tuple(row) for row in table)
+    if identity != 0:
+        perm = list(range(n))
+        perm[0], perm[identity] = identity, 0
+        tab = relabel_table(tab, perm)
+    inverse = tuple(next(b for b in range(n) if tab[a][b] == 0) for a in range(n))
+    return FiniteGroup(order=n, table=tab, inverse=inverse)
+
+
+def oracle_verify_brace(add_table, circle_table) -> SkewBrace:
+    """Both groups by ``oracle_verify_group_axioms``, then compatibility over
+    all n³ triples in lexicographic order."""
+    if len(add_table) != len(circle_table):
+        raise BraceAxiomError("shape", (), "add and circle tables have different sizes")
+    n = len(add_table)
+    e_add, e_circ = _raw_identity(add_table), _raw_identity(circle_table)
+    if e_add is not None and e_circ is not None and e_add != e_circ:
+        raise BraceAxiomError("identity-mismatch", (e_add, e_circ), "identities differ")
+    add = oracle_verify_group_axioms(add_table)
+    circle = oracle_verify_group_axioms(circle_table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = circle.table[a][add.table[b][c]]
+                rhs = add.table[add.table[circle.table[a][b]][add.inverse[a]]][circle.table[a][c]]
+                if lhs != rhs:
+                    raise BraceAxiomError("compatibility", (a, b, c), "a∘(b+c) != a∘b - a + a∘c")
+    lam = tuple(
+        tuple(add.table[add.inverse[a]][circle.table[a][b]] for b in range(n))
+        for a in range(n)
+    )
+    return SkewBrace(add=add, circle=circle, lam=lam)
+
+
+def oracle_check_star_identities(A: SkewBrace) -> CheckReport:
+    """Both (*) identities over all triples; the first failure is reported."""
+    for x in A.elements():
+        for y in A.elements():
+            for z in A.elements():
+                lhs = A.star(x, A.plus(y, z))
+                rhs = A.plus(A.plus(A.plus(A.star(x, y), y), A.star(x, z)), A.neg(y))
+                if lhs != rhs:
+                    return CheckReport("star-identities", "fail",
+                                       (("identity", "x*(y+z)"), ("witness", (x, y, z))))
+                lhs = A.star(A.circ(x, y), z)
+                yz = A.star(y, z)
+                rhs = A.plus(A.plus(A.star(x, yz), yz), A.star(x, z))
+                if lhs != rhs:
+                    return CheckReport("star-identities", "fail",
+                                       (("identity", "(x∘y)*z"), ("witness", (x, y, z))))
+    return CheckReport("star-identities", "pass")

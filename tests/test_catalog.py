@@ -117,6 +117,26 @@ def test_cache_with_a_missing_entry_is_rebuilt(tmp_path, monkeypatch):
     enumerate_braces.cache_clear()
 
 
+def test_cache_with_a_repeated_class_is_rebuilt(tmp_path, monkeypatch):
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces.cache_clear()
+    enumerate_braces(4)
+    path = cachedir / "braces_4_holomorph.json"
+    payload = json.loads(path.read_text())
+    assert payload["entries"][0]["group"] == payload["entries"][1]["group"]
+    payload["entries"][1] = payload["entries"][0]
+    path.write_text(json.dumps(payload, sort_keys=True))
+    enumerate_braces.cache_clear()
+    braces = enumerate_braces(4).braces
+    assert len(braces) == 4
+    for i, A in enumerate(braces):
+        for B in braces[i + 1:]:
+            assert brace_isomorphic(A, B) is None
+    assert json.loads(path.read_text())["entries"][1] != payload["entries"][0]
+    enumerate_braces.cache_clear()
+
+
 def test_unknown_method_rejected(capsys):
     for method in ("exhaustive", "magic"):
         with pytest.raises(SystemExit) as exc:

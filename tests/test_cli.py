@@ -7,7 +7,16 @@ import pytest
 from bracekit.braces import trivial_brace
 from bracekit import cli
 from bracekit.cli import main
-from bracekit.formats import save_brace, save_solution
+from bracekit import invariants
+from bracekit.formats import (
+    MAX_INPUT_ORDER,
+    load_brace,
+    load_group,
+    load_solution,
+    save_brace,
+    save_solution,
+)
+from bracekit.groups import BoundExceededError
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ybe import make_solution, solution_from_brace
 
@@ -164,6 +173,57 @@ def test_crash_exits_4_not_check_failed(ring_path, monkeypatch, capsys):
     assert "internal error: AssertionError: factor product" in captured.err
     assert "Traceback" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "13"], ["enumerate", "0"], ["enumerate", "-1"],
+    ["sweep", "13"], ["sweep", "0"],
+    ["theoremcheck", "corpus:x"], ["theoremcheck", "corpus:13"], ["theoremcheck", "corpus:0"],
+])
+def test_order_without_a_catalog_exits_2(argv, capsys):
+    assert main(argv) == cli.EXIT_INVALID_INPUT == 2
+    captured = capsys.readouterr()
+    assert "invalid input" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_internal_value_error_exits_4_not_invalid_input(ring_path, monkeypatch, capsys):
+    def not_an_ideal(A, I):
+        raise ValueError("not an ideal")
+
+    monkeypatch.setattr(invariants, "quotient_brace", not_an_ideal)
+    assert main(["decompose", ring_path]) == cli.EXIT_INTERNAL_ERROR == 4
+    captured = capsys.readouterr()
+    assert "internal error: ValueError: not an ideal" in captured.err
+    assert "invalid input" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["derived", "group"])
+def test_degenerate_solution_is_invalid_input(command, tmp_path, capsys):
+    path = tmp_path / "degenerate.json"
+    save_solution(make_solution([(0, 0), (0, 0)], [(0, 1), (0, 1)]), path)
+    assert main(["ybe", command, str(path)]) == 2
+    assert "non-degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,key,tables", [
+    ("group", "order", ("table",)),
+    ("brace", "order", ("add", "circle")),
+    ("solution", "size", ("sigma", "tau")),
+])
+def test_oversized_input_fails_fast(kind, key, tables, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({key: MAX_INPUT_ORDER + 1, **{t: [] for t in tables}}))
+    loader = {"group": load_group, "brace": load_brace, "solution": load_solution}[kind]
+    with pytest.raises(BoundExceededError, match="257"):
+        loader(path)
+
+
+def test_oversized_input_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": 257, "add": [], "circle": []}))
+    assert main(["verify", str(path)]) == cli.EXIT_BOUND_EXCEEDED == 3
+    assert "bound exceeded" in capsys.readouterr().err
 
 
 def test_ybe_check(swaps_path, capsys):

@@ -1,0 +1,207 @@
+"""The generator-based verification kernels against the full scans.
+
+``verify_group_axioms`` (Light's test), ``verify_brace`` (compatibility on
+additive generators) and ``check_star_identities`` (both identities on
+additive generators) must accept and reject exactly what the O(n³) oracles
+in conftest.py do, with the same exception class, axiom tag and witness, or
+the same report.  The memo guards check that memoized verification still
+rejects every invalid input, on every call.
+"""
+
+import random
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bracekit.braces import BraceAxiomError, SkewBrace, check_star_identities, verify_brace
+from bracekit.catalog import enumerate_braces
+from bracekit.groups import GroupAxiomError, relabel_table, verify_group_axioms
+from bracekit.ideals import quotient_brace
+
+from conftest import oracle_check_star_identities, oracle_verify_brace, oracle_verify_group_axioms
+
+ORDERS = tuple(range(1, 13))
+
+
+@cache
+def catalog() -> tuple[SkewBrace, ...]:
+    return tuple(A for n in ORDERS for A in enumerate_braces(n, use_disk_cache=False).braces)
+
+
+def outcome(fn, *args):
+    """What a verifier does with its input: its result, or the class, axiom
+    and witness of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (GroupAxiomError, BraceAxiomError) as exc:
+        return (type(exc), exc.axiom, exc.witness)
+
+
+def mutate(table, row: int, col: int, value: int) -> list[list[int]]:
+    out = [list(r) for r in table]
+    out[row][col] = value
+    return out
+
+
+def random_loop(n: int, rng: random.Random) -> list[list[int]]:
+    """A random Latin square with identity row and column 0, by randomized
+    backtracking; most are not groups, so associativity gets exercised."""
+    table = [[None] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for a in range(n):
+        table[a][0] = a
+
+    def fill(cell: int) -> bool:
+        if cell == n * n:
+            return True
+        a, b = divmod(cell, n)
+        if table[a][b] is not None:
+            return fill(cell + 1)
+        used = {table[a][j] for j in range(n)} | {table[i][b] for i in range(n)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            table[a][b] = v
+            if fill(cell + 1):
+                return True
+        table[a][b] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def test_catalog_tables_pass_as_with_the_oracles():
+    for A in catalog():
+        for table in (A.add.table, A.circle.table):
+            assert verify_group_axioms(table) == oracle_verify_group_axioms(table)
+        assert verify_brace(A.add.table, A.circle.table) == A
+        assert check_star_identities(A) == oracle_check_star_identities(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_axioms_match_the_oracle_on_one_entry_mutations(data):
+    A = data.draw(st.sampled_from(catalog()))
+    table = data.draw(st.sampled_from((A.add.table, A.circle.table)))
+    n = A.order
+    row, col, value = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    mutant = mutate(table, row, col, value)
+    assert outcome(verify_group_axioms, mutant) == outcome(oracle_verify_group_axioms, mutant)
+
+
+def times_c2(table) -> list[list[int]]:
+    """The direct product with C2, (a, g) indexed as 2a + g.  Its first greedy
+    generator (0, 1) is central, so a loop's non-associativity shows only at
+    a later generator."""
+    n = len(table)
+    return [[2 * table[i // 2][j // 2] + (i + j) % 2 for j in range(2 * n)] for i in range(2 * n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_group_axioms_match_the_oracle_on_random_loops(n, seed):
+    rng = random.Random(seed)
+    table = random_loop(n, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for candidate in (table, relabel_table(table, perm), times_c2(table)):
+        assert outcome(verify_group_axioms, candidate) == outcome(oracle_verify_group_axioms, candidate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_brace_matches_the_oracle_on_one_entry_mutations(data):
+    A = data.draw(st.sampled_from(catalog()))
+    n = A.order
+    row, col, value = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    tables = [A.add.table, A.circle.table]
+    which = data.draw(st.integers(0, 1))
+    tables[which] = mutate(tables[which], row, col, value)
+    assert outcome(verify_brace, *tables) == outcome(oracle_verify_brace, *tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_brace_matches_the_oracle_on_mismatched_pairs(data):
+    """The additive group of one catalog brace with the circle group of
+    another of the same order, relabeled by a permutation fixing 0: mostly
+    incompatible pairs."""
+    n = data.draw(st.sampled_from([n for n in ORDERS if n > 1]))
+    braces = [A for A in catalog() if A.order == n]
+    A, B = data.draw(st.sampled_from(braces)), data.draw(st.sampled_from(braces))
+    perm = (0, *data.draw(st.permutations(range(1, n))))
+    circle = relabel_table(B.circle.table, perm)
+    assert outcome(verify_brace, A.add.table, circle) == outcome(oracle_verify_brace, A.add.table, circle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_star_identities_match_the_oracle_on_mutated_lambda(data):
+    """One entry of the lambda table changed, or one lambda row replaced by
+    another (which keeps every row additive and breaks only the second
+    identity)."""
+    A = data.draw(st.sampled_from([A for A in catalog() if A.order > 1]))
+    n = A.order
+    lam = [list(row) for row in A.lam]
+    x = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        lam[x][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    else:
+        lam[x] = list(A.lam[data.draw(st.integers(0, n - 1))])
+    M = SkewBrace(add=A.add, circle=A.circle, lam=tuple(tuple(row) for row in lam))
+    assert check_star_identities(M) == oracle_check_star_identities(M)
+
+
+def test_second_identity_failure_is_reported_like_the_oracle():
+    A = next(A for A in catalog() if len(set(A.lam)) > 1)
+    lam = list(A.lam)
+    x = next(x for x in A.elements() if lam[x] != lam[0])
+    lam[x] = lam[0]
+    M = SkewBrace(add=A.add, circle=A.circle, lam=tuple(lam))
+    report = check_star_identities(M)
+    assert report.failed
+    assert report == oracle_check_star_identities(M)
+
+
+# ---------------------------------------------------------------------------
+# memo guards
+
+
+def test_float_entry_is_rejected_after_the_int_table_was_verified():
+    table = [list(row) for row in catalog()[-1].add.table]
+    verify_group_axioms(table)
+    table[1][2] = float(table[1][2])
+    for _ in range(2):
+        with pytest.raises(GroupAxiomError) as exc:
+            verify_group_axioms(table)
+        assert exc.value.axiom == "shape"
+        assert exc.value.witness == (1, 2)
+
+
+def test_bool_entries_come_back_as_given():
+    table = [[0, 1], [1, 0]]
+    assert verify_group_axioms(table).table == ((0, 1), (1, 0))
+    G = verify_group_axioms([[0, True], [True, 0]])
+    assert type(G.table[0][1]) is bool
+
+
+def test_mutated_verified_brace_is_rejected_with_the_oracle_witness():
+    A = next(A for A in catalog() if A.order == 12 and A.add != A.circle)
+    verify_brace(A.add.table, A.circle.table)
+    circle = mutate(A.circle.table, 5, 7, (A.circle.table[5][7] + 1) % 12)
+    for _ in range(2):
+        with pytest.raises((GroupAxiomError, BraceAxiomError)) as exc:
+            verify_brace(A.add.table, circle)
+        expected = outcome(oracle_verify_brace, A.add.table, circle)
+        assert (type(exc.value), exc.value.axiom, exc.value.witness) == expected
+
+
+def test_quotient_by_a_non_ideal_raises_on_every_call(s3_brace):
+    transposition = next(x for x in s3_brace.elements()
+                         if x and s3_brace.circ(x, x) == 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an ideal"):
+            quotient_brace(s3_brace, frozenset({0, transposition}))
