@@ -44,16 +44,13 @@ class BraceCatalog:
 def _aut_tables(G: FiniteGroup):
     auts = list(automorphism_group(G))
     index = {a: i for i, a in enumerate(auts)}
-    k = len(auts)
-    comp = [[0] * k for _ in range(k)]
-    for i, p in enumerate(auts):
-        for j, q in enumerate(auts):
-            comp[i][j] = index[tuple(p[q[x]] for x in range(G.order))]
+    comp = [[index[tuple(p[x] for x in q)] for q in auts] for p in auts]
     return auts, index, comp
 
 
-def _circle_tables_holomorph(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All circle tables compatible with G, via the lambda-map cocycle search."""
+def _circle_tables_holomorph(G: FiniteGroup) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
+    """Aut(G) and all circle tables compatible with G, via the lambda-map
+    cocycle search."""
     n = G.order
     auts, index, comp = _aut_tables(G)
     id_idx = index[tuple(range(n))]
@@ -79,17 +76,11 @@ def _circle_tables_holomorph(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]
                         return False
         return True
 
-    def emit() -> None:
-        table = tuple(
-            tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
-            for a in range(n)
-        )
-        out.append(table)
-
     def search() -> None:
         x = next((i for i in range(n) if assign[i] is None), None)
         if x is None:
-            emit()
+            out.append(tuple(tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
+                             for a in range(n)))
             return
         for cand in range(len(auts)):
             assign[x] = cand
@@ -99,32 +90,37 @@ def _circle_tables_holomorph(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]
             for e in trail:
                 assign[e] = None
 
-    trail0: list[int] = []
-    if propagate(0, trail0):
+    if propagate(0, []):
         search()
-    return out
-
-
-def _canonical_circle(G: FiniteGroup, circ: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically minimal relabeling of a circle table under Aut(G,+).
-
-    Braces sharing the additive group G are isomorphic exactly when an
-    additive automorphism carries one circle table to the other, so this is
-    a canonical form for the isomorphism class.
-    """
-    return min(relabel_table(circ, phi) for phi in automorphism_group(G))
+    return auts, out
 
 
 def _build_catalog(n: int) -> BraceCatalog:
+    """Canonical representatives of the braces of order n, group by group.
+
+    Braces with additive group G are isomorphic exactly when an additive
+    automorphism carries one circle table to the other, so a class is an
+    Aut(G,+)-orbit of tables, represented by its least member.  Each table
+    not yet seen has its orbit generated once and marked as seen, so the
+    relabelings number classes x |Aut|, not tables x |Aut|.  This is exact
+    without the table list being Aut-stable: every member of an orbit has
+    the same orbit, hence the same minimum, kept when it was first marked.
+    """
     if n > HOLOMORPH_MAX_ORDER:
         raise ValueError(f"holomorph enumeration supports order <= {HOLOMORPH_MAX_ORDER}")
     braces: list[SkewBrace] = []
     names: list[str] = []
     counts: list[tuple[str, int]] = []
     for name, G in groups_of_order(n):
-        tables = _circle_tables_holomorph(G)
-        canon = sorted({_canonical_circle(G, t) for t in tables})
-        classes = [verify_brace(G.table, t) for t in canon]
+        auts, tables = _circle_tables_holomorph(G)
+        seen: set[tuple[tuple[int, ...], ...]] = set()
+        canon = []
+        for t in tables:
+            if t not in seen:
+                orbit = {relabel_table(t, phi) for phi in auts}
+                seen |= orbit
+                canon.append(min(orbit))
+        classes = [verify_brace(G.table, t) for t in sorted(canon)]
         braces.extend(classes)
         names.extend([name] * len(classes))
         counts.append((name, len(classes)))

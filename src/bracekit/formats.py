@@ -34,7 +34,8 @@ def _load_json(path: Union[str, Path]) -> dict:
 
 def _declared_order(payload: dict, key: str) -> int:
     n = payload.get(key)
-    if not isinstance(n, int) or n <= 0:
+    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
+    if type(n) is not int or n <= 0:
         raise InputFormatError(f"'{key}' must be a positive integer")
     if n > MAX_INPUT_ORDER:
         raise BoundExceededError(f"'{key}' is {n}, above the input bound {MAX_INPUT_ORDER}")
@@ -49,7 +50,7 @@ def _check_table(payload: dict, key: str, n: int) -> list[list[int]]:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"'{key}' row {i} must be a list of {n} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise InputFormatError(
                     f"'{key}' row {i}, column {j}: {v!r} is not an index in 0..{n - 1}")
     return table

@@ -19,6 +19,7 @@ from bracekit.groups import (
     GroupAxiomError,
     Subgroup,
     _raw_identity,
+    automorphism_group,
     conjugacy_classes,
     relabel_table,
     verify_group_axioms,
@@ -152,6 +153,13 @@ def oracle_enumerate(n: int) -> list[SkewBrace]:
                 group_reps.append(A)
         reps.extend(group_reps)
     return reps
+
+
+def oracle_canonical_circle(G: FiniteGroup, circ) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically minimal relabeling of a circle table under Aut(G,+),
+    one relabeling per automorphism; the catalog builder marks whole orbits
+    instead of canonicalizing every table."""
+    return min(relabel_table(circ, phi) for phi in automorphism_group(G))
 
 
 def brute_ideals(A: SkewBrace) -> list[frozenset[int]]:

@@ -3,18 +3,23 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
+    _circle_tables_holomorph,
     cache_directory,
     catalog_invariant_sweep,
     enumerate_braces,
 )
 from bracekit.cli import main
 from bracekit.formats import dumps
+from bracekit.groups import automorphism_group, relabel_table
+from bracekit.grouptables import groups_of_order
 
-from conftest import oracle_enumerate
+from conftest import oracle_canonical_circle, oracle_enumerate
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 6, 7: 1, 8: 47,
                 9: 4, 10: 6, 11: 1, 12: 38}
@@ -33,6 +38,38 @@ def test_methods_agree_on_small_orders():
         # same classes, not merely the same count
         for A in exh:
             assert sum(1 for B in hol.braces if brace_isomorphic(A, B)) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orbit_marking_matches_the_canonical_form_oracle(n):
+    catalog = _build_catalog(n)
+    for name, G in groups_of_order(n):
+        entries = [A.circle.table for g, A in zip(catalog.additive_names, catalog.braces) if g == name]
+        _, tables = _circle_tables_holomorph(G)
+        assert entries == sorted({oracle_canonical_circle(G, t) for t in tables})
+        assert all(oracle_canonical_circle(G, t) == t for t in entries)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_additive_relabeling_canonicalizes_to_the_catalog_entry(data):
+    for n in KNOWN_COUNTS:
+        for A in enumerate_braces(n, use_disk_cache=False).braces:
+            phi = data.draw(st.sampled_from(automorphism_group(A.add)))
+            circle = relabel_table(A.circle.table, phi)
+            assert oracle_canonical_circle(A.add, circle) == A.circle.table
+            assert brace_isomorphic(A, verify_brace(A.add.table, circle)) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_catalog_is_closed_under_opposite_braces(n):
+    """The opposite brace, a +op b = b + a with the same circle, is a skew
+    brace of the same order (Koch-Truman 2020), so exactly one entry is
+    isomorphic to it."""
+    braces = enumerate_braces(n, use_disk_cache=False).braces
+    for A in braces:
+        opposite = verify_brace([list(col) for col in zip(*A.add.table)], A.circle.table)
+        assert sum(1 for B in braces if brace_isomorphic(opposite, B)) == 1
 
 
 def test_prime_orders_have_only_the_trivial_brace():

@@ -10,6 +10,7 @@ from bracekit.cli import main
 from bracekit import invariants
 from bracekit.formats import (
     MAX_INPUT_ORDER,
+    InputFormatError,
     load_brace,
     load_group,
     load_solution,
@@ -224,6 +225,41 @@ def test_oversized_input_exits_3(tmp_path, capsys):
     path.write_text(json.dumps({"order": 257, "add": [], "circle": []}))
     assert main(["verify", str(path)]) == cli.EXIT_BOUND_EXCEEDED == 3
     assert "bound exceeded" in capsys.readouterr().err
+
+
+BOOL_ORDER_BRACE = {"order": True, "add": [[0]], "circle": [[0]]}
+BOOL_TABLE_BRACE = {"order": 2, "add": [[False, True], [True, False]], "circle": [[0, 1], [1, 0]]}
+BOOL_TABLE_SOLUTION = {"size": 2, "sigma": [[0, 1], [0, 1]], "tau": [[True, False], [0, 1]]}
+
+
+@pytest.mark.parametrize("loader,payload", [
+    (load_group, {"order": True, "table": [[0]]}),
+    (load_group, {"order": 2, "table": [[0, 1], [1, False]]}),
+    (load_brace, BOOL_ORDER_BRACE),
+    (load_brace, BOOL_TABLE_BRACE),
+    (load_solution, {"size": True, "sigma": [[0]], "tau": [[0]]}),
+    (load_solution, BOOL_TABLE_SOLUTION),
+])
+def test_loaders_reject_json_booleans(loader, payload, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputFormatError):
+        loader(path)
+
+
+@pytest.mark.parametrize("command,payload", [
+    (["verify"], BOOL_ORDER_BRACE),
+    (["verify"], BOOL_TABLE_BRACE),
+    (["ybe", "from-brace"], BOOL_TABLE_BRACE),
+    (["ybe", "check"], BOOL_TABLE_SOLUTION),
+])
+def test_json_booleans_exit_2(command, payload, tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    assert main([*command, str(path)]) == cli.EXIT_INVALID_INPUT == 2
+    captured = capsys.readouterr()
+    assert "invalid input" in captured.err
+    assert "false" not in captured.out
 
 
 def test_ybe_check(swaps_path, capsys):
