@@ -233,14 +233,15 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
                             desc_bound: int = 8) -> dict:
     """Run the invariant report and all theorem checks on every catalog entry.
 
-    Rows are aggregated in catalog order regardless of the number of jobs,
-    so the output is byte-stable.
+    At most one worker runs per task and per CPU.  Rows are aggregated in
+    catalog order regardless of the number of jobs, so the output is
+    byte-stable.
     """
     tasks = [
         (i, name, A.add.table, A.circle.table, desc_bound)
         for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
     ]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: loading the pool machinery costs every CLI start
         # ~15 ms, and only a parallel sweep needs it.

@@ -5,15 +5,17 @@ Exit codes: 0 success/pass, 1 mathematical check failed, 2 invalid input,
 above ``formats.MAX_INPUT_ORDER``), 4 internal error (an unexpected
 exception, which is a bug in bracekit and never the verdict of a check).
 Invalid input is recognized where it enters: a bad file, a table failing a
-group or brace axiom, an order without a catalog, or a degenerate solution
-given to a command that needs a non-degenerate one.  Any other exception,
-a stray ``ValueError`` from inside the library included, exits 4.
+group or brace axiom, an order without a catalog, a degenerate solution
+given to a command that needs a non-degenerate one, or an output path that
+cannot be written.  Any other exception, a stray ``ValueError`` from inside
+the library included, exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,6 +67,15 @@ EXIT_BOUND_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
 
 
+@contextmanager
+def _writing(path):
+    """An output path that cannot be written is invalid input."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     A = load_brace(args.brace)
     print("valid skew brace")
@@ -106,7 +117,8 @@ def _cmd_ideals(args) -> int:
         suffix = f"  [{', '.join(flags)}]" if flags else ""
         print(f"  {sorted(I)}{suffix}")
     if args.dot:
-        _write_hasse_dot(lattice, Path(args.dot))
+        with _writing(args.dot):
+            _write_hasse_dot(lattice, Path(args.dot))
         print(f"wrote Hasse diagram to {args.dot}")
     return EXIT_OK
 
@@ -210,15 +222,16 @@ def _cmd_enumerate(args) -> int:
         print(f"  additive {name}: {count}")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        files = []
-        for i, A in enumerate(catalog.braces):
-            fname = f"brace_{args.order}_{i:03d}.json"
-            (out / fname).write_text(dumps(brace_payload(A)))
-            files.append(fname)
-        manifest = {"order": args.order, "method": METHOD,
-                    "count": len(files), "files": files}
-        (out / "manifest.json").write_text(dumps(manifest))
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
+            files = []
+            for i, A in enumerate(catalog.braces):
+                fname = f"brace_{args.order}_{i:03d}.json"
+                (out / fname).write_text(dumps(brace_payload(A)))
+                files.append(fname)
+            manifest = {"order": args.order, "method": METHOD,
+                        "count": len(files), "files": files}
+            (out / "manifest.json").write_text(dumps(manifest))
         print(f"wrote {len(files)} brace files and manifest to {out}")
     return EXIT_OK
 
@@ -229,7 +242,8 @@ def _cmd_sweep(args) -> int:
                                       desc_bound=args.desc_bound)
     text = dumps(payload)
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
         print(f"wrote sweep for order {args.order} to {args.out}")
     else:
         print(text, end="")
@@ -255,7 +269,8 @@ def _cmd_ybe(args) -> int:
         A = load_brace(args.brace)
         S = solution_from_brace(A)
         if args.out:
-            save_solution(S, args.out)
+            with _writing(args.out):
+                save_solution(S, args.out)
             print(f"wrote solution to {args.out}")
         else:
             print(dumps(solution_payload(S)), end="")
@@ -264,7 +279,8 @@ def _cmd_ybe(args) -> int:
         S = _nondegenerate_solution(args.solution)
         D = derived_solution(S)
         if args.out:
-            save_solution(D, args.out)
+            with _writing(args.out):
+                save_solution(D, args.out)
             print(f"wrote derived solution to {args.out}")
         else:
             print(dumps(solution_payload(D)), end="")
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="invariant sweep over a whole order")
     p.add_argument("order", type=int)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (at least 1)")
+                   help="worker processes (at least 1; at most one per CPU)")
     p.add_argument("--desc-bound", type=int, default=8)
     p.add_argument("--out", help="write the JSON payload to a file")
     p.set_defaults(func=_cmd_sweep)

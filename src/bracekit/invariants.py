@@ -11,25 +11,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .braces import (
     BraceMorphism,
     CheckReport,
     SkewBrace,
     direct_product,
-    semidirect_product,
     trivial_brace,
     zero_brace,
 )
 from .groups import (
-    BoundExceededError,
     FiniteGroup,
     commutator_subgroup,
     generating_sequence,
     group_signature,
     quotient_group,
-    subgroup_closure,
 )
 from .ideals import (
     a2,
@@ -114,40 +111,17 @@ def radical_prime_set(A: SkewBrace) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _ideal_closure_cached(A: SkewBrace, seed: frozenset[int]) -> frozenset[int]:
-    return ideal_closure(A, seed)
-
-
-@lru_cache(maxsize=None)
-def non_generators(A: SkewBrace, bound: int = NON_GENERATOR_BOUND) -> frozenset[int]:
-    """The non-generating elements, tested exhaustively over all 2^n subsets.
+def non_generators(A: SkewBrace) -> frozenset[int]:
+    """The non-generating elements: those a whose ideal closure is small.
 
     a is a non-generator when every subset S with S ∪ {a} generating A as
-    an ideal already generates A.  The ideal closure of each subset comes
-    from the closures of single elements: the least ideal containing
-    S ∪ {s} is closure(S) + closure({s}), because a sum of ideals is an
-    ideal.  So the n singleton closures are computed with ``ideal_closure``
-    and every other subset, as a bitmask, costs one memoized ideal sum;
-    there are only a few distinct ideals, so the memo of sums stays small.
+    an ideal already generates A.  A sum of ideals is an ideal, so
+    cl(S ∪ {a}) = cl(S) + cl({a}); and as S ranges over the subsets, cl(S)
+    ranges over every ideal, since I = cl(I).  So a is a non-generator
+    exactly when I + cl({a}) ≠ A for every ideal I ≠ A, that is, when
+    cl({a}) is a small ideal.
     """
-    if A.order > bound:
-        raise BoundExceededError(f"order {A.order} exceeds the non-generator bound {bound}")
-    full = _full(A)
-    n = A.order
-    singles = [_ideal_closure_cached(A, frozenset({a})) for a in A.elements()]
-    sums: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-    closures = [frozenset({0})] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        key = (closures[mask ^ low], singles[low.bit_length() - 1])
-        if key not in sums:
-            sums[key] = ideal_sum(A, *key)
-        closures[mask] = sums[key]
-    generating = [c == full for c in closures]
-    return frozenset(
-        a for a in A.elements()
-        if all(generating[S] or not generating[S | 1 << a] for S in range(1 << n))
-    )
+    return frozenset(a for a in A.elements() if is_small_ideal(A, ideal_closure(A, {a})))
 
 
 def small_ideal_sum(A: SkewBrace) -> frozenset[int]:
@@ -159,9 +133,9 @@ def small_ideal_sum(A: SkewBrace) -> frozenset[int]:
 
 
 def radical(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> RadicalReport:
-    """Full radical report; the brute-force non-generator cross-check is
-    included only up to ``desc_bound``."""
-    nongen = non_generators(A, desc_bound) if A.order <= desc_bound else None
+    """Full radical report; the non-generator cross-check is included only
+    up to ``desc_bound``."""
+    nongen = non_generators(A) if A.order <= desc_bound else None
     return RadicalReport(
         radical=radical_set(A),
         radical_prime=radical_prime_set(A),
@@ -195,21 +169,19 @@ def is_solvable(A: SkewBrace) -> bool:
     return solvable_series(A).solvable
 
 
-def _subset_search(A: SkewBrace, bound: int = 16) -> WeightCertificate:
+def _subset_search(A: SkewBrace) -> WeightCertificate:
     """Smallest-first, lexicographic search for an ideal-generating subset."""
-    if A.order > bound:
-        raise BoundExceededError(f"order {A.order} exceeds the weight-search bound {bound}")
     full = _full(A)
     elements = tuple(A.elements())
     for k in range(1, A.order + 1):
         for combo in itertools.combinations(elements, k):
-            if _ideal_closure_cached(A, frozenset(combo)) == full:
+            if ideal_closure(A, combo) == full:
                 return WeightCertificate(k, frozenset(combo), exhaustive=True)
     raise AssertionError("the full element set always generates")
 
 
 @lru_cache(maxsize=None)
-def weight(A: SkewBrace, use_radical_opt: bool = True, bound: int = 16) -> WeightCertificate:
+def weight(A: SkewBrace, use_radical_opt: bool = True) -> WeightCertificate:
     """Minimal number of elements generating A as an ideal (1 for the zero brace).
 
     With the optimization on, the search runs in A/Rad(A) and lifts the
@@ -218,18 +190,18 @@ def weight(A: SkewBrace, use_radical_opt: bool = True, bound: int = 16) -> Weigh
     if A.order == 1:
         return WeightCertificate(1, frozenset({0}), exhaustive=True)
     if not use_radical_opt:
-        return _subset_search(A, bound)
+        return _subset_search(A)
     R = radical_set(A)
     if R == frozenset({0}):
-        return _subset_search(A, bound)
+        return _subset_search(A)
     Q, projection = quotient_brace(A, R)
-    cert = _subset_search(Q, bound)
+    cert = _subset_search(Q)
     lifted = frozenset(
         min(a for a in A.elements() if projection[a] == q) for q in cert.generating_set
     )
-    if _ideal_closure_cached(A, lifted) != _full(A):
+    if ideal_closure(A, lifted) != _full(A):
         # Should be unreachable: generation descends to A/Rad(A) and back.
-        return _subset_search(A, bound)
+        return _subset_search(A)
     return WeightCertificate(cert.weight, lifted, exhaustive=True)
 
 
@@ -388,12 +360,12 @@ def check_prop_inc(A: SkewBrace) -> CheckReport:
 
 def check_prop_desc(A: SkewBrace, bound: int = NON_GENERATOR_BOUND) -> CheckReport:
     """Rad(A) equals both the non-generating elements and the sum of all
-    small ideals (brute force over all subsets, bounded)."""
+    small ideals (up to ``bound``)."""
     if A.order > bound:
         return CheckReport("prop-desc", "na",
-                           (("reason", f"order {A.order} above brute-force bound {bound}"),))
+                           (("reason", f"order {A.order} above the non-generator bound {bound}"),))
     rad = radical_set(A)
-    nongen = non_generators(A, bound)
+    nongen = non_generators(A)
     small_sum = small_ideal_sum(A)
     details = (("radical", tuple(sorted(rad))),
                ("non_generators", tuple(sorted(nongen))),
@@ -413,27 +385,6 @@ def check_prop_a2(A: SkewBrace) -> CheckReport:
     if not A2 <= radical_set(A):
         return CheckReport("prop-a2", "fail", (("part", "radical"),))
     return CheckReport("prop-a2", "pass")
-
-
-def check_omega_products(A: SkewBrace, B: SkewBrace,
-                         theta: Optional[Sequence[Sequence[int]]] = None) -> CheckReport:
-    """omega(A x B) = omega(B) for perfect weight-one A; the semidirect
-    variant when an action theta is supplied."""
-    if not is_perfect(A) or weight(A).weight != 1:
-        return CheckReport("omega-products", "na",
-                           (("reason", "A is not perfect of weight one"),))
-    if theta is None:
-        if a2(B) != frozenset({0}):
-            return CheckReport("omega-products", "na", (("reason", "B is not trivial"),))
-        P = direct_product(A, B)
-    else:
-        P = semidirect_product(A, B, theta)
-    wp = weight(P).weight
-    wb = weight(B).weight
-    status = "pass" if wp == wb else "fail"
-    return CheckReport("omega-products", status,
-                       (("omega_product", wp), ("omega_B", wb),
-                        ("kind", "direct" if theta is None else "semidirect")))
 
 
 def schur_embedding(A: SkewBrace) -> CheckReport:
@@ -473,34 +424,6 @@ def schur_embedding(A: SkewBrace) -> CheckReport:
         return CheckReport("schur-embedding", "fail", (("part", "injective"),))
     return CheckReport("schur-embedding", "pass",
                        (("cosets", labels), ("generators", gens)))
-
-
-def frattini_comparison(A: SkewBrace) -> CheckReport:
-    """For trivial braces, compare Rad(A) with the Frattini subgroup of (A,+).
-
-    The two can differ for nonabelian additive groups; this check only
-    reports whether they agree (status stays 'pass' either way).
-    """
-    if a2(A) != frozenset({0}):
-        return CheckReport("frattini-comparison", "na", (("reason", "brace not trivial"),))
-    G = A.add
-    subgroups: set[frozenset[int]] = set()
-    elements = tuple(G.elements())
-    max_gens = min(4, G.order)
-    for r in range(max_gens + 1):
-        for combo in itertools.combinations(elements, r):
-            subgroups.add(subgroup_closure(G, combo).members)
-    full = frozenset(elements)
-    proper = [S for S in subgroups if S != full]
-    maximal_subs = [S for S in proper if not any(S < T for T in proper if T != S)]
-    frattini = full
-    for S in maximal_subs:
-        frattini &= S
-    rad = radical_set(A)
-    return CheckReport("frattini-comparison", "pass",
-                       (("agrees", frattini == rad),
-                        ("radical", tuple(sorted(rad))),
-                        ("frattini", tuple(sorted(frattini)))))
 
 
 THEOREM_CHECKS = ("gaschutz", "prop-np", "kutzko", "prop-a2", "wiegold",

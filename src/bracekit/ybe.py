@@ -157,11 +157,6 @@ def is_derived_form(S: SetSolution) -> bool:
     return all(S.sigma[x] == identity for x in range(S.size))
 
 
-def triangle(S: SetSolution, y: int, x: int) -> int:
-    """y▷x for a derived-form solution."""
-    return S.tau[y][x]
-
-
 def is_quandle(S: SetSolution) -> bool:
     """x▷x = x for all x; only defined on derived-form solutions."""
     if not is_derived_form(S):
@@ -241,8 +236,3 @@ def solution_orbits(S: SetSolution) -> tuple[tuple[int, ...], ...]:
 def is_trivial_solution(S: SetSolution) -> bool:
     """The flip r(x,y) = (y,x)."""
     return all(S.r(x, y) == (y, x) for x in range(S.size) for y in range(S.size))
-
-
-def flip_solution(n: int) -> SetSolution:
-    sigma = tuple(tuple(range(n)) for _ in range(n))
-    return SetSolution(n, sigma, sigma)

@@ -33,10 +33,9 @@ from bracekit.ybe import (
     permutation_group,
     solution_from_brace,
     solution_orbits,
-    triangle,
 )
 
-from conftest import oracle_enumerate
+from conftest import oracle_enumerate, triangle
 
 
 def corpus(max_order):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -80,8 +81,9 @@ def test_prime_orders_have_only_the_trivial_brace():
         assert A.add.table == A.circle.table
 
 
-def test_entries_reverify_and_are_pairwise_non_isomorphic():
-    cat = enumerate_braces(6)
+@pytest.mark.parametrize("n", sorted(KNOWN_COUNTS))
+def test_entries_reverify_and_are_pairwise_non_isomorphic(n):
+    cat = enumerate_braces(n)
     for A in cat.braces:
         B = verify_brace(A.add.table, A.circle.table)
         assert B.circle.table == A.circle.table
@@ -214,8 +216,17 @@ def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cat = enumerate_braces(4)
     assert dumps(catalog_invariant_sweep(cat, jobs=16)) == dumps(catalog_invariant_sweep(cat))
     assert pools == [4]
     catalog_invariant_sweep(enumerate_braces(2), jobs=16)
     assert pools == [4]
+
+    # ... and at the CPU count, or serial when that is unknown
+    serial = dumps(catalog_invariant_sweep(cat))
+    for cpus in (3, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for jobs in range(1, 7):
+            assert dumps(catalog_invariant_sweep(cat, jobs=jobs)) == serial
+    assert pools == [4, 2, 3, 3, 3, 3]

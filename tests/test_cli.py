@@ -154,6 +154,13 @@ def test_sweep_to_file(tmp_path, capsys):
     assert all(bucket["fail"] == 0 for bucket in payload["aggregate"].values())
 
 
+def test_prop_desc_passes_on_every_brace_of_order_12(tmp_path, capsys):
+    out = tmp_path / "sweep12.json"
+    assert main(["sweep", "12", "--desc-bound", "12", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["aggregate"]["prop-desc"] == {"pass": 38, "fail": 0, "na": 0}
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(jobs, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -197,6 +204,23 @@ def test_internal_value_error_exits_4_not_invalid_input(ring_path, monkeypatch, 
     captured = capsys.readouterr()
     assert "internal error: ValueError: not an ideal" in captured.err
     assert "invalid input" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "4", "--out"],
+    ["sweep", "4", "--out"],
+    ["ideals", "{brace}", "--dot"],
+    ["ybe", "from-brace", "{brace}", "--out"],
+    ["ybe", "derived", "{solution}", "--out"],
+], ids=["enumerate", "sweep", "ideals", "ybe-from-brace", "ybe-derived"])
+def test_unwritable_output_is_invalid_input(argv, ring_path, swaps_path, tmp_path, capsys):
+    regular_file = tmp_path / "regular"
+    regular_file.write_text("")
+    argv = [a.format(brace=ring_path, solution=swaps_path) for a in argv]
+    assert main([*argv, str(regular_file / "out")]) == cli.EXIT_INVALID_INPUT == 2
+    captured = capsys.readouterr()
+    assert "invalid input: cannot write" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["derived", "group"])

@@ -12,17 +12,26 @@ from hypothesis import strategies as st
 
 from bracekit.catalog import enumerate_braces
 from bracekit.groups import all_normal_subgroups, normal_closure, subgroup_closure
-from bracekit.ideals import ideal_closure, ideal_sum, is_ideal
+from bracekit.ideals import (
+    all_ideals,
+    ideal_closure,
+    ideal_sum,
+    is_ideal,
+    quotient_brace,
+    sub_brace,
+)
 from bracekit.invariants import non_generators
 
 from conftest import (
     oracle_all_normal_subgroups,
+    oracle_ideal_closure,
     oracle_non_generators,
     oracle_normal_closure,
     oracle_subgroup_closure,
 )
 
 SMALL_ORDERS = range(1, 9)
+CATALOG_ORDERS = range(1, 13)
 
 
 @cache
@@ -34,6 +43,18 @@ def catalog_braces(orders: tuple[int, ...]) -> tuple:
 def catalog_groups(orders: tuple[int, ...]) -> tuple:
     """The distinct additive and circle groups of the catalogs of ``orders``."""
     return tuple(dict.fromkeys(G for A in catalog_braces(orders) for G in (A.add, A.circle)))
+
+
+@cache
+def braces_with_quotients_and_sub_braces(orders: tuple[int, ...]) -> tuple:
+    """The distinct catalog braces of ``orders``, their quotients by each of
+    their ideals and those ideals as sub-braces."""
+    out = []
+    for A in catalog_braces(orders):
+        out.append(A)
+        for I in all_ideals(A):
+            out += [quotient_brace(A, I)[0], sub_brace(A, I)[0]]
+    return tuple(dict.fromkeys(out))
 
 
 def all_groups():
@@ -50,6 +71,21 @@ def oracle_ideals(A) -> tuple:
 def test_non_generators_match_oracle(n):
     for A in catalog_braces((n,)):
         assert non_generators(A) == oracle_non_generators(A)
+
+
+@pytest.mark.parametrize("n", CATALOG_ORDERS)
+def test_singleton_ideal_closures_match_oracle(n):
+    for A in braces_with_quotients_and_sub_braces((n,)):
+        for a in A.elements():
+            assert ideal_closure(A, [a]) == oracle_ideal_closure(A, [a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_ideal_closure_matches_oracle(data):
+    A = data.draw(st.sampled_from(braces_with_quotients_and_sub_braces(tuple(CATALOG_ORDERS))))
+    seed = data.draw(st.sets(st.integers(0, A.order - 1), max_size=4))
+    assert ideal_closure(A, seed) == oracle_ideal_closure(A, seed)
 
 
 @pytest.mark.parametrize("orders", [tuple(SMALL_ORDERS), (12,)], ids=["le8", "12"])

@@ -9,7 +9,6 @@ from bracekit.ybe import (
     check_solution,
     close_permutations,
     derived_solution,
-    flip_solution,
     is_derived_form,
     is_indecomposable_derived,
     is_quandle,
@@ -18,8 +17,9 @@ from bracekit.ybe import (
     permutation_group,
     solution_from_brace,
     solution_orbits,
-    triangle,
 )
+
+from conftest import flip_solution, triangle
 
 
 def two_parallel_swaps():
