@@ -8,15 +8,16 @@ is the hot inner loop of every closure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterator, Optional, Sequence
 
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     BoundExceededError,
     FiniteGroup,
     _raw_identity,
+    _semidirect_group,
     element_orders,
     generating_sequence,
     is_abelian,
@@ -131,7 +132,6 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     """
     if len(add_table) != len(circle_table):
         raise BraceAxiomError("shape", (), "add and circle tables have different sizes")
-    n = len(add_table)
 
     raw_add_identity = _raw_identity(add_table)
     raw_circle_identity = _raw_identity(circle_table)
@@ -144,15 +144,20 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     add = verify_group_axioms(add_table)
     circle = verify_group_axioms(circle_table)
 
-    lam = tuple(
-        tuple(add.table[add.inverse[a]][circle.table[a][b]] for b in range(n))
-        for a in range(n)
-    )
+    A = _brace_of(add, circle)
     gens = generating_sequence(add)
     if not all(lam_a[add_b[c]] == add.table[lam_a[b]][lam_a[c]]
-               for lam_a in lam for b, add_b in enumerate(add.table) for c in gens):
+               for lam_a in A.lam for b, add_b in enumerate(add.table) for c in gens):
         _compatibility_scan(add, circle)
-    return SkewBrace(add=add, circle=circle, lam=lam)
+    return A
+
+
+def _brace_of(add: FiniteGroup, circle: FiniteGroup) -> SkewBrace:
+    """The SkewBrace of two groups known to be compatible, unchecked; λ_a(b) = -a + a∘b."""
+    return SkewBrace(add=add, circle=circle, lam=tuple(
+        tuple(map(add.table[add.inverse[a]].__getitem__, circle.table[a]))
+        for a in add.elements()
+    ))
 
 
 def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
@@ -171,9 +176,8 @@ def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
-    """The trivial skew brace: both operations equal to G."""
-    identity = tuple(tuple(range(G.order)) for _ in range(G.order))
-    return SkewBrace(add=G, circle=G, lam=identity)
+    """The trivial skew brace: both operations equal to G (a(bc) = ab·a⁻¹·ac)."""
+    return _brace_of(G, G)
 
 
 def zero_brace() -> SkewBrace:
@@ -263,30 +267,35 @@ def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
     return None if perm is None else BraceMorphism(perm, A.order, B.order)
 
 
-def direct_product(A: SkewBrace, B: SkewBrace,
-                   bound: int = DEFAULT_PRODUCT_BOUND) -> SkewBrace:
+def direct_product(A: SkewBrace, B: SkewBrace) -> SkewBrace:
     """Componentwise product on pairs, indexed as a*|B| + b: the semidirect
     product with the identity action."""
-    return semidirect_product(A, B, [tuple(A.elements())] * B.order, bound)
+    return semidirect_product(A, B, [tuple(A.elements())] * B.order)
 
 
-def brace_automorphism_group(A: SkewBrace, bound: int = 16) -> tuple[BraceMorphism, ...]:
+def brace_automorphism_group(A: SkewBrace) -> tuple[BraceMorphism, ...]:
     """All bijections of A preserving both tables, sorted lexicographically."""
-    if A.order > bound:
-        raise BoundExceededError(f"order {A.order} exceeds the automorphism bound {bound}")
+    if A.order > DEFAULT_ORDER_BOUND:
+        raise BoundExceededError(f"order {A.order} exceeds the automorphism bound {DEFAULT_ORDER_BOUND}")
     return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(set(_brace_maps(A, A))))
 
 
 def semidirect_product(A: SkewBrace, B: SkewBrace,
-                       theta: Sequence[Sequence[int]],
-                       bound: int = DEFAULT_PRODUCT_BOUND) -> SkewBrace:
+                       theta: Sequence[Sequence[int]]) -> SkewBrace:
     """Semidirect product with addition componentwise and
-    (a1,b1)∘(a2,b2) = (a1∘θ(b1)(a2), b1∘b2).
+    (a1,b1)∘(a2,b2) = (a1∘θ(b1)(a2), b1∘b2), on pairs indexed a*|B| + b.
 
     ``theta`` lists, for each b in B, a permutation of A's indices.  Each
     theta[b] must be a brace automorphism of A and b ↦ theta[b] must be a
-    homomorphism from (B,∘); both are verified, with witnesses on failure.
+    homomorphism from (B,∘); both are verified, with witnesses on failure,
+    after the bound on the product order.  The two groups are then
+    compatible (Smoktunowicz–Vendramin, *On skew braces*, 2018), since
+    λ_(a1,b1)(a2,b2) = (λ_a1(θ(b1)(a2)), λ_b1(b2)) is additive, so the
+    product is not verified again.
     """
+    n = A.order * B.order
+    if n > DEFAULT_PRODUCT_BOUND:
+        raise BoundExceededError(f"product order {n} exceeds bound {DEFAULT_PRODUCT_BOUND}")
     if len(theta) != B.order:
         raise ValueError(f"theta must assign a map to each of the {B.order} elements of B")
     maps = [tuple(t) for t in theta]
@@ -301,19 +310,5 @@ def semidirect_product(A: SkewBrace, B: SkewBrace,
             if composed != maps[B.circ(b1, b2)]:
                 raise ValueError(
                     f"theta is not a homomorphism: theta({b1})∘theta({b2}) != theta({b1}∘{b2})")
-
-    n = A.order * B.order
-    if n > bound:
-        raise BoundExceededError(f"product order {n} exceeds bound {bound}")
-    nb = B.order
-
-    def idx(a: int, b: int) -> int:
-        return a * nb + b
-
-    add = [[0] * n for _ in range(n)]
-    circ = [[0] * n for _ in range(n)]
-    for a1, b1 in itertools.product(A.elements(), B.elements()):
-        for a2, b2 in itertools.product(A.elements(), B.elements()):
-            add[idx(a1, b1)][idx(a2, b2)] = idx(A.plus(a1, a2), B.plus(b1, b2))
-            circ[idx(a1, b1)][idx(a2, b2)] = idx(A.circ(a1, maps[b1][a2]), B.circ(b1, b2))
-    return verify_brace(add, circ)
+    return _brace_of(_semidirect_group(A.add, B.add, [tuple(A.elements())] * B.order),
+                     _semidirect_group(A.circle, B.circle, maps))

@@ -41,7 +41,6 @@ from .ideals import (
     a2,
     all_ideals,
     annihilator,
-    fix,
     is_prime_ideal,
     is_small_ideal,
     maximal_ideals,

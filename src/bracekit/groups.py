@@ -166,13 +166,7 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         perm[0], perm[identity] = identity, 0
         tab = relabel_table(tab, perm)
 
-    inverse = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if tab[a][b] == 0:
-                inverse[a] = b
-                break
-    G = FiniteGroup(order=n, table=tab, inverse=tuple(inverse))
+    G = _group_of(tab)
 
     # Light's test on the relabeled table, which is associative exactly when
     # the raw one is; the scan reports its witness in raw indices.
@@ -182,6 +176,31 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         if any(tab[row[s]] != tuple(map(row.__getitem__, row_s)) for row in tab):
             _associativity_scan(table)
     return G
+
+
+def _group_of(table: Iterable[Iterable[int]]) -> FiniteGroup:
+    """The FiniteGroup of a table already known to be a group with identity
+    0, unchecked.  Each row is a permutation and a right inverse is the
+    inverse, so inverse[a] = table[a].index(0)."""
+    tab = tuple(tuple(row) for row in table)
+    return FiniteGroup(order=len(tab), table=tab, inverse=tuple(row.index(0) for row in tab))
+
+
+def _semidirect_group(N: FiniteGroup, K: FiniteGroup,
+                      action: Sequence[Sequence[int]]) -> FiniteGroup:
+    """N ⋊ K on pairs indexed n·|K| + k, (n₁,k₁)(n₂,k₂) = (n₁·action[k₁](n₂), k₁k₂).
+
+    The caller guarantees that each action[k] is an automorphism of N and
+    that action[k₁k₂] = action[k₁] ∘ action[k₂].  Then both bracketings of
+    a triple product are (n₁·action[k₁](n₂)·action[k₁k₂](n₃), k₁k₂k₃), the
+    identity is (0, 0) and (n,k)⁻¹ = (action[k⁻¹](n⁻¹), k⁻¹): a group, so
+    nothing is checked.  The identity action gives N × K.
+    """
+    m = K.order
+    return _group_of(
+        tuple(N.table[n1][act[n2]] * m + k for n2 in N.elements() for k in K.table[k1])
+        for n1 in N.elements() for k1, act in zip(K.elements(), action)
+    )
 
 
 def _associativity_scan(table: Sequence[Sequence[int]]) -> None:
@@ -294,7 +313,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def all_normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tuple[frozenset[int], ...]:
+def all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Every normal subgroup, as joins of the normal closures of conjugacy classes.
 
     A normal subgroup is the union of the classes it contains, hence the
@@ -304,8 +323,8 @@ def all_normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tu
     subgroup found with every class closure (N ∨ C = <N ∪ C>, normal when
     N and C are) reaches each normal subgroup and nothing else.
     """
-    if G.order > bound:
-        raise BoundExceededError(f"order {G.order} exceeds the subgroup-lattice bound {bound}")
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise BoundExceededError(f"order {G.order} exceeds the subgroup-lattice bound {DEFAULT_ORDER_BOUND}")
     class_closures = {subgroup_closure(G, cls).members for cls in conjugacy_classes(G)}
     trivial = frozenset({0})
     found = {trivial}
@@ -414,14 +433,14 @@ def search_maps(G: FiniteGroup, H: FiniteGroup,
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tuple[tuple[int, ...], ...]:
+def automorphism_group(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All automorphisms as index permutations, found by mapping a generating set.
 
     Candidate images are pruned by element order; each completed map is
     verified against the full table.  Output is sorted lexicographically.
     """
-    if G.order > bound:
-        raise BoundExceededError(f"order {G.order} exceeds the automorphism bound {bound}")
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise BoundExceededError(f"order {G.order} exceeds the automorphism bound {DEFAULT_ORDER_BOUND}")
     orders = element_orders(G)
     return tuple(sorted(set(search_maps(
         G, G, lambda g, img: orders[img] == orders[g],
@@ -432,7 +451,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup | frozenset[int]) -> tuple[Finite
     """Quotient by a normal subgroup; returns (quotient, projection array).
 
     Cosets are labeled 0..k-1 in increasing order of their minimal member, so
-    the identity coset is label 0.
+    the identity coset is label 0.  For a normal subgroup, checked here,
+    aN·bN = abN is a group, so the table is not verified again.
     """
     members = N.members if isinstance(N, Subgroup) else N
     if not is_subgroup(G, frozenset(members)):
@@ -440,22 +460,14 @@ def quotient_group(G: FiniteGroup, N: Subgroup | frozenset[int]) -> tuple[Finite
     if not is_normal(G, frozenset(members)):
         raise ValueError("N is not normal")
     coset_of: dict[int, int] = {}
-    reps: list[int] = []
+    reps: list[int] = []  # the first unlabeled a is the least member of aN
     for a in G.elements():
-        if a in coset_of:
-            continue
-        coset = sorted(G.table[a][x] for x in members)
-        label = len(reps)
-        reps.append(coset[0])
-        for c in coset:
-            coset_of[c] = label
-    table = tuple(
-        tuple(coset_of[G.table[reps[i]][reps[j]]] for j in range(len(reps)))
-        for i in range(len(reps))
-    )
-    Q = verify_group_axioms(table)
-    projection = tuple(coset_of[a] for a in G.elements())
-    return Q, projection
+        if a not in coset_of:
+            for x in members:
+                coset_of[G.table[a][x]] = len(reps)
+            reps.append(a)
+    table = [[coset_of[G.table[r][s]] for s in reps] for r in reps]
+    return _group_of(table), tuple(coset_of[a] for a in G.elements())
 
 
 @lru_cache(maxsize=None)

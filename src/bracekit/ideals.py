@@ -10,9 +10,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .braces import SkewBrace, verify_brace
+from .braces import SkewBrace, _brace_of
 from .groups import (
     BoundExceededError,
+    _group_of,
     all_normal_subgroups,
     center,
     is_normal,
@@ -109,29 +110,19 @@ def ideal_sum(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int
 
 @lru_cache(maxsize=None)
 def quotient_brace(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
-    """Brace on the additive cosets of an ideal; returns (quotient, projection).
+    """Brace on the cosets of an ideal; returns (quotient, projection).
 
-    For an ideal the additive and multiplicative cosets coincide, so one
-    partition serves both operations.
+    For an ideal, a+I = a∘I, since a∘i = a + λ_a(i) and λ_a(I) = I.  Both
+    quotient groups label cosets by their least member, so their
+    projections are equal, and the projection carries the compatibility of
+    A onto A/I: the quotient is not verified again.
     """
     ok, witness = is_ideal(A, I)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    Q_add, projection = quotient_group(A.add, frozenset(I))
-    k = Q_add.order
-    reps = [0] * k
-    seen = set()
-    for a in A.elements():
-        p = projection[a]
-        if p not in seen:
-            seen.add(p)
-            reps[p] = a
-    circ_table = tuple(
-        tuple(projection[A.circ(reps[i], reps[j])] for j in range(k))
-        for i in range(k)
-    )
-    Q = verify_brace(Q_add.table, circ_table)
-    return Q, projection
+    Q_add, projection = quotient_group(A.add, I)
+    Q_circle, _ = quotient_group(A.circle, I)
+    return _brace_of(Q_add, Q_circle), projection
 
 
 def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -139,7 +130,9 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
 
     Returns (sub, embedding) where embedding[i] is the parent index of the
     sub-brace element i.  S must be closed under +, negation and ∘ (any left
-    ideal qualifies).
+    ideal qualifies).  A finite subset closed under a group product is a
+    subgroup, and compatibility holds in A, so the restriction, with 0
+    still at index 0, is not verified again.
     """
     members = sorted(S)
     if 0 not in S:
@@ -151,23 +144,22 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
         for y in members:
             if A.plus(x, y) not in S or A.circ(x, y) not in S:
                 raise ValueError(f"subset not closed at ({x},{y})")
-    k = len(members)
-    add = tuple(tuple(pos[A.plus(members[i], members[j])] for j in range(k)) for i in range(k))
-    circ = tuple(tuple(pos[A.circ(members[i], members[j])] for j in range(k)) for i in range(k))
-    return verify_brace(add, circ), tuple(members)
+    add = [[pos[A.plus(x, y)] for y in members] for x in members]
+    circ = [[pos[A.circ(x, y)] for y in members] for x in members]
+    return _brace_of(_group_of(add), _group_of(circ)), tuple(members)
 
 
 @lru_cache(maxsize=None)
-def all_ideals(A: SkewBrace, bound: int = IDEAL_LATTICE_BOUND) -> tuple[frozenset[int], ...]:
+def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
     """Every ideal of A, sorted by (size, members).
 
     Filters the additive normal subgroups (the cheapest complete superset)
     through lambda-stability, circle-normality, and I*A ⊆ I.
     """
-    if A.order > bound:
-        raise BoundExceededError(f"order {A.order} exceeds the ideal-lattice bound {bound}")
+    if A.order > IDEAL_LATTICE_BOUND:
+        raise BoundExceededError(f"order {A.order} exceeds the ideal-lattice bound {IDEAL_LATTICE_BOUND}")
     ideals = []
-    for N in all_normal_subgroups(A.add, bound):
+    for N in all_normal_subgroups(A.add):
         if not all(A.lam[a][i] in N for a in A.elements() for i in N):
             continue
         if not all(A.circ(A.circ(a, i), A.circ_inv(a)) in N

@@ -22,7 +22,6 @@ from .braces import (
     zero_brace,
 )
 from .groups import (
-    FiniteGroup,
     commutator_subgroup,
     generating_sequence,
     group_signature,

@@ -193,8 +193,7 @@ def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ..
     return len(orbits) == 1, orbits
 
 
-def close_permutations(n: int, generators: Sequence[Sequence[int]],
-                       bound: int = PERMUTATION_CLOSURE_BOUND) -> list[tuple[int, ...]]:
+def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Breadth-first closure of a set of permutations under composition."""
     identity = tuple(range(n))
     gens = sorted({tuple(g) for g in generators})
@@ -208,21 +207,20 @@ def close_permutations(n: int, generators: Sequence[Sequence[int]],
                 if q not in group:
                     group.add(q)
                     nxt.append(q)
-                    if len(group) > bound:
+                    if len(group) > PERMUTATION_CLOSURE_BOUND:
                         raise BoundExceededError(
-                            f"permutation closure exceeded bound {bound}")
+                            f"permutation closure exceeded bound {PERMUTATION_CLOSURE_BOUND}")
         frontier = nxt
     return sorted(group)
 
 
-def permutation_group(S: SetSolution,
-                      bound: int = PERMUTATION_CLOSURE_BOUND) -> PermutationGroupSummary:
+def permutation_group(S: SetSolution) -> PermutationGroupSummary:
     """The group generated by the sigma maps, with its order and orbits."""
     report = check_solution(S)
     if not report.is_nondegenerate:
         raise ValueError("permutation group requires a non-degenerate solution")
     gens = tuple(sorted({S.sigma[x] for x in range(S.size)}))
-    group = close_permutations(S.size, gens, bound)
+    group = close_permutations(S.size, gens)
     orbits = _orbits_of_maps(S.size, group)
     return PermutationGroupSummary(len(group), gens, orbits)
 

@@ -16,7 +16,7 @@ from bracekit.braces import (
     zero_brace,
 )
 from bracekit.catalog import enumerate_braces
-from bracekit.groups import GroupAxiomError, abelian_invariants
+from bracekit.groups import BoundExceededError, GroupAxiomError, abelian_invariants
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ideals import a2
 
@@ -154,6 +154,7 @@ def test_semidirect_c3_c2_inversion_gives_s3_circle():
     B = trivial_brace(cyclic(2))
     theta = [(0, 1, 2), (0, 2, 1)]  # inversion on C3
     S = semidirect_product(A, B, theta)
+    assert S == verify_brace(S.add.table, S.circle.table)
     assert S.order == 6
     assert abelian_invariants(S.add) == (6,)
     assert abelian_invariants(S.circle) is None  # nonabelian, so S3
@@ -173,6 +174,11 @@ def test_semidirect_rejects_non_automorphism():
     B = trivial_brace(cyclic(2))
     with pytest.raises(ValueError):
         semidirect_product(A, B, [(0, 1, 2), (1, 0, 2)])
+
+
+def test_semidirect_checks_the_order_bound_before_theta():
+    with pytest.raises(BoundExceededError):
+        semidirect_product(trivial_brace(cyclic(17)), trivial_brace(cyclic(16)), [])
 
 
 def test_brace_automorphism_groups(ring_brace):

@@ -1,21 +1,32 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from bracekit.groups import (
     GroupAxiomError,
+    _semidirect_group,
     all_normal_subgroups,
     automorphism_group,
     abelian_invariants,
     center,
     commutator_subgroup,
+    element_orders,
     group_signature,
+    is_abelian,
     normal_closure,
     quotient_group,
     subgroup_closure,
     verify_group_axioms,
 )
-from bracekit.grouptables import cyclic, dihedral, dicyclic, direct_product_group, alternating4
+from bracekit.grouptables import (
+    alternating4,
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product_group,
+    groups_of_order,
+)
 
 from conftest import brute_automorphisms, brute_normal_subgroups, brute_subgroups, klein_group, permutation_table
 
@@ -174,10 +185,35 @@ def test_quotient_rejects_non_normal(s3_group):
 
 
 def test_constructed_groups_reverify():
+    """Products are built, not verified, so every built-in group is checked
+    against the verifier here."""
+    built_in = [G for n in range(1, 13) for _, G in groups_of_order(n)]
     for G in (cyclic(7), dihedral(5), dicyclic(2), alternating4(),
-              direct_product_group(cyclic(2), cyclic(6))):
-        H = verify_group_axioms(G.table)
-        assert H.table == G.table
+              direct_product_group(cyclic(2), cyclic(6)), *built_in):
+        assert verify_group_axioms(G.table) == G
+
+
+def cyclic_action(n: int, k: int, e: int) -> list[tuple[int, ...]]:
+    """C_k acting on C_n, its generator by x ↦ e·x."""
+    return [tuple(pow(e, j, n) * x % n for x in range(n)) for j in range(k)]
+
+
+@pytest.mark.parametrize("build, orders", [
+    (lambda: _semidirect_group(cyclic(8), cyclic(2), cyclic_action(8, 2, 5)),
+     {1: 1, 2: 3, 4: 4, 8: 8}),
+    (lambda: _semidirect_group(cyclic(8), cyclic(2), cyclic_action(8, 2, 3)),
+     {1: 1, 2: 5, 4: 6, 8: 4}),
+    (lambda: _semidirect_group(cyclic(4), cyclic(4), cyclic_action(4, 4, -1)),
+     {1: 1, 2: 3, 4: 12}),
+    (lambda: _semidirect_group(direct_product_group(cyclic(2), cyclic(2)), cyclic(4),
+                               [(0, 1, 2, 3), (0, 2, 1, 3)] * 2),  # the generator swaps the factors
+     {1: 1, 2: 7, 4: 8}),
+], ids=["M16", "SD16", "C4:C4", "C2^2:C4"])
+def test_semidirect_groups_of_order_16(build, orders):
+    G = build()
+    assert G == verify_group_axioms(G.table)
+    assert not is_abelian(G)
+    assert Counter(element_orders(G)) == orders
 
 
 def test_abelian_invariants_and_signature():

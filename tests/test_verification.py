@@ -15,10 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracekit.braces import BraceAxiomError, SkewBrace, check_star_identities, verify_brace
+from bracekit.braces import (
+    BraceAxiomError,
+    SkewBrace,
+    check_star_identities,
+    direct_product,
+    verify_brace,
+)
 from bracekit.catalog import enumerate_braces
-from bracekit.groups import GroupAxiomError, relabel_table, verify_group_axioms
-from bracekit.ideals import quotient_brace
+from bracekit.groups import (
+    GroupAxiomError,
+    all_normal_subgroups,
+    quotient_group,
+    relabel_table,
+    verify_group_axioms,
+)
+from bracekit.ideals import all_ideals, quotient_brace, sub_brace
 
 from conftest import oracle_check_star_identities, oracle_verify_brace, oracle_verify_group_axioms
 
@@ -164,6 +176,32 @@ def test_second_identity_failure_is_reported_like_the_oracle():
     report = check_star_identities(M)
     assert report.failed
     assert report == oracle_check_star_identities(M)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_derived_objects_equal_the_verified_rebuild_of_their_tables(n):
+    """Quotients, sub-braces and direct products are built from a verified
+    parent without verifying them again.  Each must equal what the
+    verifiers return for its tables, for every ideal and every normal
+    subgroup of both groups of each catalog brace of order n, and for each
+    product with a catalog brace of order 2..n up to product order 36.  An
+    additive normal subgroup that is not an ideal is refused."""
+    for A in [A for A in catalog() if A.order == n]:
+        ideals = all_ideals(A)
+        for I in ideals:
+            for B, _ in (quotient_brace(A, I), sub_brace(A, I)):
+                assert B == verify_brace(B.add.table, B.circle.table)
+        for G in (A.add, A.circle):
+            for N in all_normal_subgroups(G):
+                Q, _ = quotient_group(G, N)
+                assert Q == verify_group_axioms(Q.table)
+        for N in set(all_normal_subgroups(A.add)) - set(ideals):
+            with pytest.raises(ValueError, match="not an ideal"):
+                quotient_brace(A, N)
+        for B in catalog():
+            if 2 <= B.order <= n and n * B.order <= 36:
+                P = direct_product(A, B)
+                assert P == verify_brace(P.add.table, P.circle.table)
 
 
 # ---------------------------------------------------------------------------
