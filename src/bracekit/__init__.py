@@ -6,7 +6,6 @@ from .groups import (  # noqa: F401
     BoundExceededError,
     FiniteGroup,
     GroupAxiomError,
-    Subgroup,
     all_normal_subgroups,
     automorphism_group,
     center,

@@ -54,12 +54,6 @@ class CheckReport:
     def failed(self) -> bool:
         return self.status == "fail"
 
-    def detail(self, key: str) -> Any:
-        for k, v in self.details:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def as_dict(self) -> dict:
         return {"name": self.name, "status": self.status,
                 "details": {k: v for k, v in self.details}}

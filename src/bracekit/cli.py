@@ -53,6 +53,7 @@ from .ybe import (
     derived_solution,
     is_derived_form,
     is_indecomposable_derived,
+    is_nondegenerate,
     is_quandle,
     permutation_group,
     solution_from_brace,
@@ -182,7 +183,7 @@ def _catalog(order) -> BraceCatalog:
 
 def _nondegenerate_solution(path: str) -> SetSolution:
     S = load_solution(path)
-    if not check_solution(S).is_nondegenerate:
+    if not is_nondegenerate(S):
         raise InputFormatError(f"{path}: this command needs a non-degenerate solution")
     return S
 
@@ -250,53 +251,57 @@ def _cmd_sweep(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _cmd_ybe(args) -> int:
-    if args.ybe_command == "check":
-        S = load_solution(args.solution)
-        report = check_solution(S)
-        for key, value in report.as_dict().items():
-            if key.endswith("_witness"):
-                if value is not None and args.witness:
-                    print(f"{key}: {value}")
-                continue
-            print(f"{key}: {value}")
-        if not report.is_involutive:
-            # No finite procedure for injectivity of X -> G(X,r) is implemented.
-            print("injectivity: unknown")
-        return EXIT_OK if report.is_ybe and report.is_bijective else EXIT_CHECK_FAILED
-    if args.ybe_command == "from-brace":
-        A = load_brace(args.brace)
-        S = solution_from_brace(A)
-        if args.out:
-            with _writing(args.out):
-                save_solution(S, args.out)
-            print(f"wrote solution to {args.out}")
-        else:
-            print(dumps(solution_payload(S)), end="")
-        return EXIT_OK
-    if args.ybe_command == "derived":
-        S = _nondegenerate_solution(args.solution)
-        D = derived_solution(S)
-        if args.out:
-            with _writing(args.out):
-                save_solution(D, args.out)
-            print(f"wrote derived solution to {args.out}")
-        else:
-            print(dumps(solution_payload(D)), end="")
-        if is_derived_form(D):
-            indecomposable, orbits = is_indecomposable_derived(D)
-            print(f"quandle: {is_quandle(D)}", file=sys.stderr)
-            print(f"indecomposable: {indecomposable} (orbits: {orbits})", file=sys.stderr)
-        return EXIT_OK
-    if args.ybe_command == "group":
-        S = _nondegenerate_solution(args.solution)
-        summary = permutation_group(S)
-        print(f"permutation group order: {summary.order}")
-        print(f"generators: {[list(g) for g in summary.generators]}")
-        print(f"orbits of the permutation group: {[list(o) for o in summary.orbits]}")
-        print(f"solution orbits (sigma and tau): {[list(o) for o in solution_orbits(S)]}")
-        return EXIT_OK
-    raise AssertionError(f"unknown ybe subcommand {args.ybe_command}")
+def _cmd_ybe_check(args) -> int:
+    S = load_solution(args.solution)
+    report = check_solution(S)
+    for key, value in report.as_dict().items():
+        if key.endswith("_witness"):
+            if value is not None and args.witness:
+                print(f"{key}: {value}")
+            continue
+        print(f"{key}: {value}")
+    if not report.is_involutive:
+        # No finite procedure for injectivity of X -> G(X,r) is implemented.
+        print("injectivity: unknown")
+    return EXIT_OK if report.is_ybe and report.is_bijective else EXIT_CHECK_FAILED
+
+
+def _cmd_ybe_from_brace(args) -> int:
+    A = load_brace(args.brace)
+    S = solution_from_brace(A)
+    if args.out:
+        with _writing(args.out):
+            save_solution(S, args.out)
+        print(f"wrote solution to {args.out}")
+    else:
+        print(dumps(solution_payload(S)), end="")
+    return EXIT_OK
+
+
+def _cmd_ybe_derived(args) -> int:
+    S = _nondegenerate_solution(args.solution)
+    D = derived_solution(S)
+    if args.out:
+        with _writing(args.out):
+            save_solution(D, args.out)
+        print(f"wrote derived solution to {args.out}")
+    else:
+        print(dumps(solution_payload(D)), end="")
+    if is_derived_form(D):
+        indecomposable, orbits = is_indecomposable_derived(D)
+        print(f"quandle: {is_quandle(D)}", file=sys.stderr)
+        print(f"indecomposable: {indecomposable} (orbits: {orbits})", file=sys.stderr)
+    return EXIT_OK
+
+
+def _cmd_ybe_group(args) -> int:
+    S = _nondegenerate_solution(args.solution)
+    summary = permutation_group(S)
+    print(f"permutation group order: {summary.order}")
+    print(f"generators: {[list(g) for g in summary.generators]}")
+    print(f"orbits of the permutation group: {[list(o) for o in summary.orbits]}")
+    print(f"solution orbits (sigma and tau): {[list(o) for o in solution_orbits(S)]}")
+    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -367,18 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = ybe_sub.add_parser("check")
     q.add_argument("solution")
     q.add_argument("--witness", action="store_true")
-    q.set_defaults(func=_cmd_ybe)
+    q.set_defaults(func=_cmd_ybe_check)
     q = ybe_sub.add_parser("from-brace")
     q.add_argument("brace")
     q.add_argument("--out")
-    q.set_defaults(func=_cmd_ybe)
+    q.set_defaults(func=_cmd_ybe_from_brace)
     q = ybe_sub.add_parser("derived")
     q.add_argument("solution")
     q.add_argument("--out")
-    q.set_defaults(func=_cmd_ybe)
+    q.set_defaults(func=_cmd_ybe_derived)
     q = ybe_sub.add_parser("group")
     q.add_argument("solution")
-    q.set_defaults(func=_cmd_ybe)
+    q.set_defaults(func=_cmd_ybe_group)
     return parser
 
 

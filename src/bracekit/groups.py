@@ -39,12 +39,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -55,23 +49,6 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         """a b a^-1 b^-1."""
         return self.table[self.table[a][b]][self.table[self.inverse[a]][self.inverse[b]]]
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a table group, stored as its member set."""
-
-    members: frozenset[int]
-    parent_order: int
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -237,16 +214,15 @@ def element_orders(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def center(G: FiniteGroup) -> Subgroup:
+def center(G: FiniteGroup) -> frozenset[int]:
     """Elements commuting with everything."""
-    members = frozenset(
+    return frozenset(
         a for a in G.elements()
         if all(G.table[a][b] == G.table[b][a] for b in G.elements())
     )
-    return Subgroup(members, G.order)
 
 
-def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     """Least subgroup containing ``seed``.
 
     Grows the set of products of seed elements breadth-first, multiplying
@@ -269,16 +245,16 @@ def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
                     members.add(z)
                     grown.append(z)
         frontier = grown
-    return Subgroup(frozenset(members), G.order)
+    return frozenset(members)
 
 
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
+def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
     """Smallest subgroup containing all commutators; normal in G."""
     comms = {G.commutator(a, b) for a in G.elements() for b in G.elements()}
     return subgroup_closure(G, comms)
 
 
-def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     """Least normal subgroup containing ``seed``.
 
     The subgroup generated by all conjugates g·s·g⁻¹ of the seed: its
@@ -299,7 +275,6 @@ def is_normal(G: FiniteGroup, S: frozenset[int]) -> bool:
     return all(G.conjugate(g, x) in S for g in G.elements() for x in S)
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     seen: set[int] = set()
     classes = []
@@ -325,7 +300,7 @@ def all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise BoundExceededError(f"order {G.order} exceeds the subgroup-lattice bound {DEFAULT_ORDER_BOUND}")
-    class_closures = {subgroup_closure(G, cls).members for cls in conjugacy_classes(G)}
+    class_closures = {subgroup_closure(G, cls) for cls in conjugacy_classes(G)}
     trivial = frozenset({0})
     found = {trivial}
     work = [trivial]
@@ -334,7 +309,7 @@ def all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
         for C in class_closures:
             if C <= N:
                 continue
-            J = subgroup_closure(G, N | C).members
+            J = subgroup_closure(G, N | C)
             if J not in found:
                 found.add(J)
                 work.append(J)
@@ -348,7 +323,7 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     for x in G.elements():
         if x not in current:
             gens.append(x)
-            current = subgroup_closure(G, gens).members
+            current = subgroup_closure(G, gens)
             if len(current) == G.order:
                 break
     return tuple(gens)
@@ -447,23 +422,27 @@ def automorphism_group(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
         lambda perm: preserves(perm, G.table, G.table)))))
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup | frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup; returns (quotient, projection array).
+def quotient_group(G: FiniteGroup, N: frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient by a normal subgroup, checked here; see ``_cosets``."""
+    if not is_subgroup(G, N):
+        raise ValueError("N is not a subgroup")
+    if not is_normal(G, N):
+        raise ValueError("N is not normal")
+    return _cosets(G, N)
+
+
+def _cosets(G: FiniteGroup, N: frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """G/N for a normal subgroup N, unchecked; returns (quotient, projection array).
 
     Cosets are labeled 0..k-1 in increasing order of their minimal member, so
-    the identity coset is label 0.  For a normal subgroup, checked here,
-    aN·bN = abN is a group, so the table is not verified again.
+    the identity coset is label 0.  For a normal subgroup aN·bN = abN is a
+    group, so the table is not verified again.
     """
-    members = N.members if isinstance(N, Subgroup) else N
-    if not is_subgroup(G, frozenset(members)):
-        raise ValueError("N is not a subgroup")
-    if not is_normal(G, frozenset(members)):
-        raise ValueError("N is not normal")
     coset_of: dict[int, int] = {}
     reps: list[int] = []  # the first unlabeled a is the least member of aN
     for a in G.elements():
         if a not in coset_of:
-            for x in members:
+            for x in N:
                 coset_of[G.table[a][x]] = len(reps)
             reps.append(a)
     table = [[coset_of[G.table[r][s]] for s in reps] for r in reps]

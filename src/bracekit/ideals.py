@@ -1,8 +1,10 @@
 """Left ideals, ideals, distinguished ideals and the ideal lattice of a brace.
 
-All ideal-valued results are frozensets of element indices.  The full ideal
-lattice of a brace is memoized: it is the single most reused artifact in the
-invariant computations.
+Every subgroup and ideal is a plain frozenset of element indices.  An ideal
+is a left ideal that is normal in both groups.  The ideal lattice of a brace
+is memoized, and every ideal question is read off it: the least ideal
+containing a set (so also the sum I + J of two ideals), the maximal ideals
+and the small ideals.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from typing import Iterable, Optional
 from .braces import SkewBrace, _brace_of
 from .groups import (
     BoundExceededError,
+    _cosets,
     _group_of,
     all_normal_subgroups,
     center,
     is_normal,
     is_subgroup,
-    quotient_group,
     subgroup_closure,
 )
 
@@ -29,8 +31,9 @@ def is_left_ideal(A: SkewBrace, S: frozenset[int]) -> tuple[bool, Optional[tuple
     """Additive subgroup, stable under every lambda_a.  Returns (ok, witness)."""
     if not is_subgroup(A.add, S):
         return False, ("not-additive-subgroup", tuple(sorted(S)))
+    members = sorted(S)
     for a in A.elements():
-        for i in sorted(S):
+        for i in members:
             if A.lam[a][i] not in S:
                 return False, ("not-lambda-stable", (a, i))
     return True, None
@@ -43,8 +46,9 @@ def is_ideal(A: SkewBrace, S: frozenset[int]) -> tuple[bool, Optional[tuple]]:
         return False, witness
     if not is_normal(A.add, S):
         return False, ("not-additively-normal", tuple(sorted(S)))
+    members = sorted(S)
     for a in A.elements():
-        for i in sorted(S):
+        for i in members:
             if A.circ(A.circ(a, i), A.circ_inv(a)) not in S:
                 return False, ("not-multiplicatively-normal", (a, i))
     return True, None
@@ -64,7 +68,6 @@ def ideal_closure(A: SkewBrace, seed: Iterable[int]) -> frozenset[int]:
     return next(I for I in all_ideals(A) if seed <= I)
 
 
-@lru_cache(maxsize=None)
 def kernel_of_lambda(A: SkewBrace) -> frozenset[int]:
     identity = tuple(range(A.order))
     return frozenset(a for a in A.elements() if A.lam[a] == identity)
@@ -73,16 +76,15 @@ def kernel_of_lambda(A: SkewBrace) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def socle(A: SkewBrace) -> frozenset[int]:
     """Soc(A) = Ker(lambda) ∩ Cen(A,+)."""
-    return kernel_of_lambda(A) & center(A.add).members
+    return kernel_of_lambda(A) & center(A.add)
 
 
 @lru_cache(maxsize=None)
 def annihilator(A: SkewBrace) -> frozenset[int]:
     """Ann(A) = Soc(A) ∩ Cen(A,∘)."""
-    return socle(A) & center(A.circle).members
+    return socle(A) & center(A.circle)
 
 
-@lru_cache(maxsize=None)
 def fix(A: SkewBrace) -> frozenset[int]:
     """Elements fixed by every lambda_b; a left ideal."""
     return frozenset(
@@ -93,35 +95,34 @@ def fix(A: SkewBrace) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def a2(A: SkewBrace) -> frozenset[int]:
     """The ideal A^(2): additive subgroup generated by all star values."""
-    stars = {A.star(a, b) for a in A.elements() for b in A.elements()}
-    return frozenset(subgroup_closure(A.add, stars).members)
+    return star_product(A, A.elements(), A.elements())
 
 
 def star_product(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int]:
     """Additive subgroup generated by {i*j : i in I, j in J}."""
-    stars = {A.star(i, j) for i in I for j in J}
-    return frozenset(subgroup_closure(A.add, stars).members)
+    return subgroup_closure(A.add, {A.star(i, j) for i in I for j in J})
 
 
 def ideal_sum(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int]:
     """I+J as the additive subgroup closure of the union (exact for ideals)."""
-    return frozenset(subgroup_closure(A.add, set(I) | set(J)).members)
+    return subgroup_closure(A.add, set(I) | set(J))
 
 
 @lru_cache(maxsize=None)
 def quotient_brace(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
     """Brace on the cosets of an ideal; returns (quotient, projection).
 
-    For an ideal, a+I = a∘I, since a∘i = a + λ_a(i) and λ_a(I) = I.  Both
-    quotient groups label cosets by their least member, so their
-    projections are equal, and the projection carries the compatibility of
-    A onto A/I: the quotient is not verified again.
+    ``is_ideal`` proves I normal in both groups, so the cosets are built
+    unchecked.  For an ideal, a+I = a∘I, since a∘i = a + λ_a(i) and
+    λ_a(I) = I.  Both quotient groups label cosets by their least member, so
+    their projections are equal, and the projection carries the
+    compatibility of A onto A/I: the quotient is not verified again.
     """
     ok, witness = is_ideal(A, I)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    Q_add, projection = quotient_group(A.add, I)
-    Q_circle, _ = quotient_group(A.circle, I)
+    Q_add, projection = _cosets(A.add, I)
+    Q_circle, _ = _cosets(A.circle, I)
     return _brace_of(Q_add, Q_circle), projection
 
 
@@ -151,24 +152,16 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
 
 @lru_cache(maxsize=None)
 def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
-    """Every ideal of A, sorted by (size, members).
+    """Every ideal of A: the additive normal subgroups that pass
+    ``is_ideal``, in their order, by (size, members).
 
-    Filters the additive normal subgroups (the cheapest complete superset)
-    through lambda-stability, circle-normality, and I*A ⊆ I.
+    I*A ⊆ I needs no test of its own.  For i ∈ I and a ∈ A,
+    i*a = -i + i∘a - a = -i + a∘i' - a with i' = ā∘i∘a ∈ I, and
+    a∘i' = a + λ_a(i'); so i*a = -i + (a + λ_a(i') - a) ∈ I.
     """
     if A.order > IDEAL_LATTICE_BOUND:
         raise BoundExceededError(f"order {A.order} exceeds the ideal-lattice bound {IDEAL_LATTICE_BOUND}")
-    ideals = []
-    for N in all_normal_subgroups(A.add):
-        if not all(A.lam[a][i] in N for a in A.elements() for i in N):
-            continue
-        if not all(A.circ(A.circ(a, i), A.circ_inv(a)) in N
-                   for a in A.elements() for i in N):
-            continue
-        if not all(A.star(i, b) in N for i in N for b in A.elements()):
-            continue
-        ideals.append(N)
-    return tuple(sorted(ideals, key=lambda s: (len(s), tuple(sorted(s)))))
+    return tuple(N for N in all_normal_subgroups(A.add) if is_ideal(A, N)[0])
 
 
 @lru_cache(maxsize=None)
@@ -199,10 +192,19 @@ def is_prime_ideal(A: SkewBrace, P: frozenset[int]) -> bool:
     return is_prime_brace(Q)
 
 
+@lru_cache(maxsize=None)
+def small_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
+    """The ideals I with I + J ≠ A for every ideal J ≠ A, in lattice order.
+
+    I + J is the least ideal containing I ∪ J, so it is read off the lattice
+    with ``ideal_closure``.
+    """
+    lattice = all_ideals(A)
+    full = lattice[-1]
+    return tuple(I for I in lattice
+                 if all(ideal_closure(A, I | J) != full for J in lattice[:-1]))
+
+
 def is_small_ideal(A: SkewBrace, I: frozenset[int]) -> bool:
-    """I+J = A forces J = A, over the full ideal lattice."""
-    full = frozenset(A.elements())
-    for J in all_ideals(A):
-        if J != full and ideal_sum(A, I, J) == full:
-            return False
-    return True
+    """Whether the ideal I is small: I + J = A forces J = A."""
+    return I in small_ideals(A)

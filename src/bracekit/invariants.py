@@ -38,6 +38,7 @@ from .ideals import (
     is_small_ideal,
     maximal_ideals,
     quotient_brace,
+    small_ideals,
     socle,
     star_product,
     sub_brace,
@@ -88,25 +89,13 @@ def _full(A: SkewBrace) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def radical_set(A: SkewBrace) -> frozenset[int]:
     """Intersection of all maximal ideals; the whole brace if none exist."""
-    ms = maximal_ideals(A)
-    if not ms:
-        return _full(A)
-    out = ms[0]
-    for M in ms[1:]:
-        out &= M
-    return out
+    return _full(A).intersection(*maximal_ideals(A))
 
 
 @lru_cache(maxsize=None)
 def radical_prime_set(A: SkewBrace) -> frozenset[int]:
     """Intersection of the prime maximal ideals; the whole brace if none."""
-    primes = [M for M in maximal_ideals(A) if is_prime_ideal(A, M)]
-    if not primes:
-        return _full(A)
-    out = primes[0]
-    for M in primes[1:]:
-        out &= M
-    return out
+    return _full(A).intersection(*(M for M in maximal_ideals(A) if is_prime_ideal(A, M)))
 
 
 @lru_cache(maxsize=None)
@@ -124,11 +113,8 @@ def non_generators(A: SkewBrace) -> frozenset[int]:
 
 
 def small_ideal_sum(A: SkewBrace) -> frozenset[int]:
-    out = frozenset({0})
-    for I in all_ideals(A):
-        if is_small_ideal(A, I):
-            out = ideal_sum(A, out, I)
-    return out
+    """The sum of the small ideals: the least ideal containing them all."""
+    return ideal_closure(A, frozenset().union(*small_ideals(A)))
 
 
 def radical(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> RadicalReport:
@@ -279,7 +265,7 @@ def check_gaschutz(A: SkewBrace) -> CheckReport:
     """[A,A]_+ + A^(2) ⊆ M or Soc(A) ⊆ M for every maximal M, and
     A^(2) ∩ Soc(A) ⊆ Rad(A)."""
     soc = socle(A)
-    comm_plus_a2 = ideal_sum(A, commutator_subgroup(A.add).members, a2(A))
+    comm_plus_a2 = ideal_sum(A, commutator_subgroup(A.add), a2(A))
     for M in maximal_ideals(A):
         if not (comm_plus_a2 <= M or soc <= M):
             return CheckReport("gaschutz", "fail", (("maximal_ideal", tuple(sorted(M))),))

@@ -70,6 +70,11 @@ def make_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) 
     return SetSolution(n, tuple(tuple(r) for r in sigma), tuple(tuple(r) for r in tau))
 
 
+def is_nondegenerate(S: SetSolution) -> bool:
+    """Every sigma_x and every tau_y is a permutation: O(n²)."""
+    return all(len(set(row)) == S.size for row in S.sigma + S.tau)
+
+
 def check_solution(S: SetSolution) -> SolutionReport:
     """Bijectivity of r, the braid relation, non-degeneracy and involutivity,
     with witnesses for braid and involutivity failures."""
@@ -77,8 +82,7 @@ def check_solution(S: SetSolution) -> SolutionReport:
     images = {S.r(x, y) for x in range(n) for y in range(n)}
     bijective = len(images) == n * n
 
-    nondegenerate = all(len(set(S.sigma[x])) == n for x in range(n)) and \
-        all(len(set(S.tau[y])) == n for y in range(n))
+    nondegenerate = is_nondegenerate(S)
 
     def r1(t):
         u, v = S.r(t[0], t[1])
@@ -133,8 +137,7 @@ def solution_from_brace(A: SkewBrace) -> SetSolution:
 
 def derived_solution(S: SetSolution) -> SetSolution:
     """r_t(x,y) = (y, y▷x) with y▷x = sigma_y(tau_{sigma_x^{-1}(y)}(x))."""
-    report = check_solution(S)
-    if not report.is_nondegenerate:
+    if not is_nondegenerate(S):
         raise ValueError("derived solution requires a non-degenerate solution")
     n = S.size
     sigma_inv = []
@@ -215,14 +218,13 @@ def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> list[tupl
 
 
 def permutation_group(S: SetSolution) -> PermutationGroupSummary:
-    """The group generated by the sigma maps, with its order and orbits."""
-    report = check_solution(S)
-    if not report.is_nondegenerate:
+    """The group generated by the sigma maps, with its order and orbits (the
+    orbits of a group are those of its generators)."""
+    if not is_nondegenerate(S):
         raise ValueError("permutation group requires a non-degenerate solution")
     gens = tuple(sorted({S.sigma[x] for x in range(S.size)}))
-    group = close_permutations(S.size, gens)
-    orbits = _orbits_of_maps(S.size, group)
-    return PermutationGroupSummary(len(group), gens, orbits)
+    order = len(close_permutations(S.size, gens))
+    return PermutationGroupSummary(order, gens, _orbits_of_maps(S.size, gens))
 
 
 def solution_orbits(S: SetSolution) -> tuple[tuple[int, ...], ...]:

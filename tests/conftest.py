@@ -20,8 +20,8 @@ from bracekit.braces import (
 from bracekit.groups import (
     FiniteGroup,
     GroupAxiomError,
-    Subgroup,
     _raw_identity,
+    all_normal_subgroups,
     automorphism_group,
     conjugacy_classes,
     relabel_table,
@@ -196,7 +196,7 @@ def permutation_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
 # the library's earlier closure algorithms, kept as oracles for the fast ones
 
 
-def oracle_subgroup_closure(G: FiniteGroup, seed) -> Subgroup:
+def oracle_subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
     """Worklist closure under product and inverse, multiplying every popped
     element against all members on both sides."""
     members = {0}
@@ -214,17 +214,17 @@ def oracle_subgroup_closure(G: FiniteGroup, seed) -> Subgroup:
                 if z not in members:
                     members.add(z)
                     work.append(z)
-    return Subgroup(frozenset(members), G.order)
+    return frozenset(members)
 
 
-def oracle_normal_closure(G: FiniteGroup, seed) -> Subgroup:
+def oracle_normal_closure(G: FiniteGroup, seed) -> frozenset[int]:
     """Fixpoint: close under conjugation and products until stable."""
-    current = frozenset(oracle_subgroup_closure(G, seed).members)
+    current = oracle_subgroup_closure(G, seed)
     while True:
         conjugates = {G.conjugate(g, x) for g in G.elements() for x in current}
-        nxt = frozenset(oracle_subgroup_closure(G, current | conjugates).members)
+        nxt = oracle_subgroup_closure(G, current | conjugates)
         if nxt == current:
-            return Subgroup(current, G.order)
+            return current
         current = nxt
 
 
@@ -234,7 +234,7 @@ def oracle_all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     found: set[frozenset[int]] = set()
     for r in range(len(reps) + 1):
         for subset in itertools.combinations(reps, r):
-            found.add(oracle_normal_closure(G, subset).members)
+            found.add(oracle_normal_closure(G, subset))
     return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
@@ -242,7 +242,7 @@ def oracle_ideal_closure(A: SkewBrace, seed) -> frozenset[int]:
     """Worklist fixpoint alternating additive subgroup closure, additive normal
     closure, lambda images, circle conjugation, and adjoining I*A and A*I
     elements, until stable."""
-    current = frozenset(subgroup_closure(A.add, seed).members)
+    current = subgroup_closure(A.add, seed)
     while True:
         extra: set[int] = set()
         for g in A.elements():
@@ -252,10 +252,36 @@ def oracle_ideal_closure(A: SkewBrace, seed) -> frozenset[int]:
                 extra.add(A.circ(A.circ(g, x), A.circ_inv(g)))  # circle normality
                 extra.add(A.star(x, g))                 # I*A
                 extra.add(A.star(g, x))                 # A*I
-        nxt = frozenset(subgroup_closure(A.add, current | extra).members)
+        nxt = subgroup_closure(A.add, current | extra)
         if nxt == current:
             return current
         current = nxt
+
+
+def oracle_all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
+    """The additive normal subgroups that are lambda-stable, circle-normal
+    and hold I*A ⊆ I, each checked over every pair, sorted by (size, members)."""
+    ideals = []
+    for N in all_normal_subgroups(A.add):
+        if not all(A.lam[a][i] in N for a in A.elements() for i in N):
+            continue
+        if not all(A.circ(A.circ(a, i), A.circ_inv(a)) in N
+                   for a in A.elements() for i in N):
+            continue
+        if not all(A.star(i, b) in N for i in N for b in A.elements()):
+            continue
+        ideals.append(N)
+    return tuple(sorted(ideals, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def oracle_is_small_ideal(A: SkewBrace, I: frozenset[int]) -> bool:
+    """I+J = A forces J = A, with each sum I+J taken as an additive subgroup
+    closure."""
+    full = frozenset(A.elements())
+    for J in oracle_all_ideals(A):
+        if J != full and subgroup_closure(A.add, I | J) == full:
+            return False
+    return True
 
 
 def oracle_non_generators(A: SkewBrace) -> frozenset[int]:
@@ -409,7 +435,7 @@ def frattini_comparison(A: SkewBrace) -> CheckReport:
     max_gens = min(4, G.order)
     for r in range(max_gens + 1):
         for combo in itertools.combinations(elements, r):
-            subgroups.add(subgroup_closure(G, combo).members)
+            subgroups.add(subgroup_closure(G, combo))
     full = frozenset(elements)
     proper = [S for S in subgroups if S != full]
     maximal_subs = [S for S in proper if not any(S < T for T in proper if T != S)]

@@ -18,13 +18,16 @@ from bracekit.ideals import (
     ideal_sum,
     is_ideal,
     quotient_brace,
+    small_ideals,
     sub_brace,
 )
 from bracekit.invariants import non_generators
 
 from conftest import (
+    oracle_all_ideals,
     oracle_all_normal_subgroups,
     oracle_ideal_closure,
+    oracle_is_small_ideal,
     oracle_non_generators,
     oracle_normal_closure,
     oracle_subgroup_closure,
@@ -71,6 +74,14 @@ def oracle_ideals(A) -> tuple:
 def test_non_generators_match_oracle(n):
     for A in catalog_braces((n,)):
         assert non_generators(A) == oracle_non_generators(A)
+
+
+@pytest.mark.parametrize("n", CATALOG_ORDERS)
+def test_ideal_lattice_and_small_ideals_match_oracle(n):
+    for A in braces_with_quotients_and_sub_braces((n,)):
+        lattice = all_ideals(A)
+        assert lattice == oracle_all_ideals(A)
+        assert small_ideals(A) == tuple(I for I in lattice if oracle_is_small_ideal(A, I))
 
 
 @pytest.mark.parametrize("n", CATALOG_ORDERS)

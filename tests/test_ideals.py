@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracekit.braces import brace_isomorphic, direct_product, trivial_brace, zero_brace
+from bracekit.catalog import enumerate_braces
 from bracekit.groups import BoundExceededError
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ideals import (
@@ -16,6 +17,7 @@ from bracekit.ideals import (
     is_left_ideal,
     is_prime_brace,
     is_prime_ideal,
+    is_small_ideal,
     kernel_of_lambda,
     maximal_ideals,
     quotient_brace,
@@ -53,9 +55,11 @@ def test_ideal_closure_examples(ring_brace):
     assert ideal_closure(ring_brace, []) == frozenset({0})
 
 
-def test_all_ideals_against_brute_force(ring_brace, s3_brace):
-    for A in (ring_brace, s3_brace, trivial_brace(klein_group()),
-              trivial_brace(dihedral(4))):
+@pytest.mark.parametrize("n", range(1, 9))
+def test_all_ideals_against_brute_force(n, ring_brace, s3_brace):
+    hand_built = (ring_brace, s3_brace, trivial_brace(klein_group()),
+                  trivial_brace(dihedral(4)))
+    for A in [B for B in hand_built if B.order == n] + list(enumerate_braces(n).braces):
         assert set(all_ideals(A)) == set(brute_ideals(A))
 
 
@@ -96,6 +100,14 @@ def test_is_ideal_witnesses(s3_brace):
     transposition = next(a for a in range(1, 6) if s3_brace.add.table[a][a] == 0)
     ok, witness = is_ideal(s3_brace, frozenset({0, transposition}))
     assert not ok and witness is not None
+
+
+def test_only_ideals_are_small(ring_brace):
+    # the ring elements {0, 4} (indices {0, 2}) are the only maximal ideal
+    # of 2Z/8Z, so they are small; the set {4} alone is not an ideal
+    assert is_small_ideal(ring_brace, frozenset({0, 2}))
+    assert not is_small_ideal(ring_brace, frozenset({2}))
+    assert not is_small_ideal(ring_brace, frozenset(range(4)))
 
 
 def test_left_ideal_not_ideal():

@@ -23,3 +23,40 @@ def test_module_level_imports_are_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id in ("lru_cache", "cache")
+
+
+def test_every_memo_can_hit():
+    """No memoized library function is reached only through one memoized
+    caller that passes it that caller's own parameters.
+
+    A memo hits only on a repeated key.  Such a function is called once per
+    key of its caller's memo, so its own memo never hits.  (A memo keyed on
+    a part of the caller's key, such as ``all_normal_subgroups(A.add)``
+    inside ``all_ideals(A)``, can hit, and passes.)
+    """
+    memoized, uses = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if any(map(_is_memo, fn.decorator_list)):
+                    memoized.add(fn.name)
+                params = [a.arg for a in fn.args.args]
+                forwarding = {id(c.func) for c in ast.walk(fn) if isinstance(c, ast.Call)
+                              and [getattr(a, "id", None) for a in c.args] == params
+                              and not c.keywords}
+                for n in ast.walk(fn):
+                    if isinstance(n, ast.Name) and n.id != fn.name:
+                        uses.setdefault(n.id, []).append((fn.name, id(n) in forwarding))
+    idle = [name for name in sorted(memoized) if len(uses.get(name, [])) == 1
+            and uses[name][0][0] in memoized and uses[name][0][1]]
+    assert idle == []

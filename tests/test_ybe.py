@@ -6,11 +6,13 @@ from bracekit.braces import trivial_brace, verify_brace
 from bracekit.catalog import enumerate_braces
 from bracekit.grouptables import cyclic, dihedral
 from bracekit.ybe import (
+    _orbits_of_maps,
     check_solution,
     close_permutations,
     derived_solution,
     is_derived_form,
     is_indecomposable_derived,
+    is_nondegenerate,
     is_quandle,
     is_trivial_solution,
     make_solution,
@@ -155,6 +157,32 @@ def test_derived_requires_nondegenerate():
     S = make_solution(sigma, tau)
     with pytest.raises(ValueError):
         derived_solution(S)
+
+
+@pytest.mark.parametrize("degenerate", ["sigma", "tau"])
+def test_degenerate_rows_are_refused(degenerate):
+    # a braid solution whose only defect is one non-permutation row
+    good = [(0, 1), (0, 1)]
+    bad = [(0, 1), (1, 1)]
+    S = make_solution(bad if degenerate == "sigma" else good,
+                      bad if degenerate == "tau" else good)
+    assert not is_nondegenerate(S)
+    assert not check_solution(S).is_nondegenerate
+    with pytest.raises(ValueError):
+        derived_solution(S)
+    with pytest.raises(ValueError):
+        permutation_group(S)
+
+
+def test_permutation_group_orbits_are_those_of_the_whole_group():
+    for n in (4, 6, 8):
+        for A in enumerate_braces(n).braces:
+            S = solution_from_brace(A)
+            assert is_nondegenerate(S)
+            summary = permutation_group(S)
+            group = close_permutations(n, summary.generators)
+            assert summary.order == len(group)
+            assert summary.orbits == _orbits_of_maps(n, group)
 
 
 def test_quandle_requires_derived_form():
