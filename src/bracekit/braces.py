@@ -8,14 +8,14 @@ is the hot inner loop of every closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .groups import (
     DEFAULT_ORDER_BOUND,
     BoundExceededError,
     FiniteGroup,
+    _Value,
     _raw_identity,
     _semidirect_group,
     element_orders,
@@ -38,8 +38,7 @@ class BraceAxiomError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a verification: status is 'pass', 'fail' or 'na'."""
 
     name: str
@@ -59,8 +58,7 @@ class CheckReport:
                 "details": {k: v for k, v in self.details}}
 
 
-@dataclass(frozen=True)
-class BraceMorphism:
+class BraceMorphism(NamedTuple):
     """A map of element indices preserving both operations."""
 
     mapping: tuple[int, ...]
@@ -76,13 +74,27 @@ class BraceMorphism:
                 and len(set(self.mapping)) == self.source_order)
 
 
-@dataclass(frozen=True)
-class SkewBrace:
-    """Two compatible group structures (add, circle) with shared identity 0."""
+class SkewBrace(_Value):
+    """Two compatible group structures (add, circle) with shared identity 0.
 
-    add: FiniteGroup
-    circle: FiniteGroup
-    lam: tuple[tuple[int, ...], ...]
+    The hash reads (add, circle), which determine λ; equality compares λ too.
+    """
+
+    __slots__ = ("add", "circle", "lam", "_hash")
+
+    def __init__(self, add: FiniteGroup, circle: FiniteGroup, lam: tuple[tuple[int, ...], ...]):
+        self._set(add, circle, lam, hash((add, circle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.add == other.add
+                and self.circle == other.circle and self.lam == other.lam)
 
     @property
     def order(self) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .braces import (
@@ -31,8 +30,7 @@ METHOD = "holomorph"
 HOLOMORPH_MAX_ORDER = 12
 
 
-@dataclass(frozen=True)
-class BraceCatalog:
+class BraceCatalog(NamedTuple):
     """Isomorphism-class representatives of all braces of one order."""
 
     order: int

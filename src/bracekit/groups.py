@@ -7,7 +7,6 @@ rest of the code write formulas exactly as in additive notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -31,13 +30,50 @@ class BoundExceededError(RuntimeError):
     """An exhaustive operation was asked to run past its configured bound."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _Value:
+    """Base of the immutable memo keys, which store their hash when built:
+    every memo lookup hashes its key, and tuple tables do not cache theirs.
+    A subclass lists its fields, then ``_hash``, in ``__slots__``, sets them
+    with ``_set`` and writes a direct ``__eq__`` (memo hits on equal but
+    distinct keys call it often), comparing stored hashes before fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+
+class FiniteGroup(_Value):
     """A finite group as an order-n Cayley table with identity 0."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    __slots__ = ("order", "table", "inverse", "_hash")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], inverse: tuple[int, ...]):
+        self._set(order, table, inverse, hash(table))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.table == other.table
+                and self.order == other.order and self.inverse == other.inverse)
 
     def elements(self) -> range:
         return range(self.order)

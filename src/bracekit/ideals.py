@@ -139,14 +139,16 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
     if 0 not in S:
         raise ValueError("subset does not contain 0")
     pos = {x: i for i, x in enumerate(members)}
+    add, circ = [], []
     for x in members:
-        if A.neg(x) not in S:
+        if A.neg(x) not in pos:
             raise ValueError(f"subset not closed under negation at {x}")
-        for y in members:
-            if A.plus(x, y) not in S or A.circ(x, y) not in S:
-                raise ValueError(f"subset not closed at ({x},{y})")
-    add = [[pos[A.plus(x, y)] for y in members] for x in members]
-    circ = [[pos[A.circ(x, y)] for y in members] for x in members]
+        add_row, circ_row = A.add.table[x], A.circle.table[x]
+        add.append([pos.get(add_row[y]) for y in members])
+        circ.append([pos.get(circ_row[y]) for y in members])
+        if None in add[-1] or None in circ[-1]:
+            y = next(y for y, s, c in zip(members, add[-1], circ[-1]) if s is None or c is None)
+            raise ValueError(f"subset not closed at ({x},{y})")
     return _brace_of(_group_of(add), _group_of(circ)), tuple(members)
 
 

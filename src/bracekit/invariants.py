@@ -9,9 +9,8 @@ never an expected outcome.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braces import (
     BraceMorphism,
@@ -47,8 +46,7 @@ from .ideals import (
 NON_GENERATOR_BOUND = 8
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(NamedTuple):
     radical: frozenset[int]
     radical_prime: frozenset[int]
     maximal_ideal_count: int
@@ -56,15 +54,13 @@ class RadicalReport:
     small_ideal_sum: frozenset[int]
 
 
-@dataclass(frozen=True)
-class WeightCertificate:
+class WeightCertificate(NamedTuple):
     weight: int
     generating_set: frozenset[int]
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class SolvableSeries:
+class SolvableSeries(NamedTuple):
     terms: tuple[frozenset[int], ...]
     stabilized: bool
 
@@ -73,8 +69,7 @@ class SolvableSeries:
         return self.terms[-1] == frozenset({0})
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     factors: tuple[SkewBrace, ...]
     iso: BraceMorphism
     maximal_ideals: tuple[frozenset[int], ...]

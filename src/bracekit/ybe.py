@@ -7,8 +7,7 @@ like the usual convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace
 from .groups import BoundExceededError
@@ -16,8 +15,7 @@ from .groups import BoundExceededError
 PERMUTATION_CLOSURE_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SetSolution:
+class SetSolution(NamedTuple):
     size: int
     sigma: tuple[tuple[int, ...], ...]
     tau: tuple[tuple[int, ...], ...]
@@ -29,8 +27,7 @@ class SetSolution:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     is_bijective: bool
     is_ybe: bool
     is_nondegenerate: bool
@@ -49,8 +46,7 @@ class SolutionReport:
         }
 
 
-@dataclass(frozen=True)
-class PermutationGroupSummary:
+class PermutationGroupSummary(NamedTuple):
     order: int
     generators: tuple[tuple[int, ...], ...]
     orbits: tuple[tuple[int, ...], ...]

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from bracekit.braces import (
     BraceAxiomError,
+    SkewBrace,
     brace_automorphism_group,
     brace_isomorphic,
     check_star_identities,
@@ -16,9 +20,9 @@ from bracekit.braces import (
     zero_brace,
 )
 from bracekit.catalog import enumerate_braces
-from bracekit.groups import BoundExceededError, GroupAxiomError, abelian_invariants
+from bracekit.groups import BoundExceededError, FiniteGroup, GroupAxiomError, abelian_invariants
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
-from bracekit.ideals import a2
+from bracekit.ideals import a2, all_ideals
 
 from conftest import brute_brace_automorphisms, klein_group, radical_ring_brace
 
@@ -197,3 +201,69 @@ def test_brace_automorphism_group_matches_brute_force():
         auts = brace_automorphism_group(A)
         assert all(m.source_order == m.target_order == A.order for m in auts)
         assert [m.mapping for m in auts] == brute_brace_automorphisms(A)
+
+
+@cache
+def catalog() -> tuple[SkewBrace, ...]:
+    return tuple(A for n in range(1, 13) for A in enumerate_braces(n, use_disk_cache=False).braces)
+
+
+def test_braces_and_groups_are_values():
+    """Every catalog brace of order <= 12 and its two groups: a rebuild from
+    the same tables equals the original and hashes alike, as do pickle and
+    deep-copy round trips; distinct entries are unequal."""
+    braces = catalog()
+    for A in braces:
+        B = verify_brace([list(r) for r in A.add.table], [list(r) for r in A.circle.table])
+        assert B is not A and B == A and hash(B) == hash(A)
+        for G in (A.add, A.circle):
+            H = FiniteGroup(order=G.order, table=tuple(tuple(list(r)) for r in G.table),
+                            inverse=tuple(list(G.inverse)))
+            assert H is not G and H == G and hash(H) == hash(G)
+        for X in (A, A.add, A.circle):
+            for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
+                assert Y is not X and Y == X and hash(Y) == hash(X)
+    assert all(A != B for A, B in itertools.combinations(braces, 2))
+    groups = {G for A in braces for G in (A.add, A.circle)}
+    assert len(groups) == len({G.table for G in groups})
+
+
+def test_braces_and_groups_are_immutable():
+    for A in catalog():
+        for X, fields in ((A, ("add", "circle", "lam")),
+                          (A.add, ("order", "table", "inverse")),
+                          (A.circle, ("order", "table", "inverse"))):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(X, name, getattr(X, name))
+                with pytest.raises(AttributeError):
+                    delattr(X, name)
+
+
+def test_brace_and_group_reprs_name_every_field():
+    for A in catalog():
+        assert repr(A) == f"SkewBrace(add={A.add!r}, circle={A.circle!r}, lam={A.lam!r})"
+        for G in (A.add, A.circle):
+            assert repr(G) == f"FiniteGroup(order={G.order}, table={G.table!r}, inverse={G.inverse!r})"
+    assert repr(cyclic(2)) == "FiniteGroup(order=2, table=((0, 1), (1, 0)), inverse=(0, 1))"
+
+
+def test_a_brace_with_another_lambda_is_another_memo_key():
+    """A brace whose λ has one row changed hashes like the real one (the
+    hash reads the two groups only) but is unequal to it, so the memoized
+    ideal lattice, which reads λ, is its own: the first catalog brace and
+    row for which a transposition in that row changes the lattice."""
+
+    def mutants():
+        for A in catalog():
+            for x in A.elements():
+                for i, j in itertools.combinations(range(1, A.order), 2):
+                    row = list(A.lam[x])
+                    row[i], row[j] = row[j], row[i]
+                    lam = list(A.lam)
+                    lam[x] = tuple(row)
+                    yield A, SkewBrace(add=A.add, circle=A.circle, lam=tuple(lam))
+
+    A, M = next((A, M) for A, M in mutants() if all_ideals.__wrapped__(M) != all_ideals(A))
+    assert M != A and A != M and hash(M) == hash(A)
+    assert all_ideals(M) == all_ideals.__wrapped__(M) != all_ideals(A)

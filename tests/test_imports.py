@@ -4,6 +4,9 @@
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,19 @@ def test_every_memo_can_hit():
     idle = [name for name in sorted(memoized) if len(uses.get(name, [])) == 1
             and uses[name][0][0] in memoized and uses[name][0][1]]
     assert idle == []
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    """``import bracekit.cli`` loads neither ``dataclasses`` nor ``inspect``.
+
+    Every CLI command is its own process and pays the package import
+    first; ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``)
+    would be most of it.  ``-S`` keeps a site ``.pth`` file from importing
+    either first.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = ("import bracekit.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
