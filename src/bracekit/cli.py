@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -311,7 +312,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: ``parse_args`` returns a
+    fresh namespace on every call, so repeated ``main`` calls in one process
+    share no state."""
     parser = argparse.ArgumentParser(
         prog="bracekit",
         description="Finite skew left braces, their invariants, and YBE solutions.")

@@ -19,6 +19,7 @@ from .groups import (
     _group_of,
     all_normal_subgroups,
     center,
+    generating_sequence,
     is_normal,
     is_subgroup,
     subgroup_closure,
@@ -154,8 +155,15 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
 
 @lru_cache(maxsize=None)
 def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
-    """Every ideal of A: the additive normal subgroups that pass
-    ``is_ideal``, in their order, by (size, members).
+    """Every ideal of A: the additive normal subgroups N that are λ-stable
+    and ∘-normal, in their order, by (size, members).
+
+    Both tests run over the generators g of (A,∘) only.  λ is a homomorphism
+    from (A,∘) to Aut(A,+), so the g with λ_g(N) = N form a subgroup of
+    (A,∘), and so does the ∘-normalizer of N; each contains A once it
+    contains the generators.  A λ-stable additive subgroup is closed under
+    ∘, since a∘b = a + λ_a(b), so it is a ∘-subgroup, and N is a left ideal
+    normal in both groups: an ideal.
 
     I*A ⊆ I needs no test of its own.  For i ∈ I and a ∈ A,
     i*a = -i + i∘a - a = -i + a∘i' - a with i' = ā∘i∘a ∈ I, and
@@ -163,7 +171,11 @@ def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
     """
     if A.order > IDEAL_LATTICE_BOUND:
         raise BoundExceededError(f"order {A.order} exceeds the ideal-lattice bound {IDEAL_LATTICE_BOUND}")
-    return tuple(N for N in all_normal_subgroups(A.add) if is_ideal(A, N)[0])
+    circ, circ_inv = A.circle.table, A.circle.inverse
+    gens = [(A.lam[g], circ[g], circ_inv[g]) for g in generating_sequence(A.circle)]
+    return tuple(N for N in all_normal_subgroups(A.add)
+                 if all(lam_g[i] in N and circ[g_row[i]][g_inv] in N
+                        for lam_g, g_row, g_inv in gens for i in N))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,10 @@ from typing import NamedTuple, Optional, Sequence
 from .braces import SkewBrace
 from .groups import BoundExceededError
 
-PERMUTATION_CLOSURE_BOUND = 10 ** 6
+# Integers a permutation closure may store: permutations times points.  That
+# is 10**6 permutations of 10 points (no group on fewer points reaches 10**6:
+# 9! is below it) and 39,062 permutations of 256 points.
+PERMUTATION_CLOSURE_BOUND = 10 ** 7
 
 
 class SetSolution(NamedTuple):
@@ -71,51 +74,52 @@ def is_nondegenerate(S: SetSolution) -> bool:
     return all(len(set(row)) == S.size for row in S.sigma + S.tau)
 
 
+def _braid_witness(sigma, col) -> Optional[tuple[int, int, int]]:
+    """The first triple, in lexicographic order, at which r1 r2 r1 and
+    r2 r1 r2 differ, where r1 = r x id and r2 = id x r.
+
+    r1 r2 r1 (x,y,z) = (sigma[a][c], tau[c][a], tau[z][b]) and
+    r2 r1 r2 (x,y,z) = (sigma[x][e], sigma[h][f], tau[f][h]), where
+    (a, b) = r(x,y), c = sigma[b][z], (e, f) = r(y,z) and h = tau[e][x].
+    ``col[y][x] = tau[x][y]`` makes every lookup of the z loop a row lookup,
+    and the rows that depend on (x, y) alone are bound once per pair.
+    """
+    n = len(sigma)
+    for x in range(n):
+        sx, cx = sigma[x], col[x]
+        for y in range(n):
+            a, b = sx[y], cx[y]
+            sa, ca, sb, cb, sy, cy = sigma[a], col[a], sigma[b], col[b], sigma[y], col[y]
+            for z in range(n):
+                c, e, f = sb[z], sy[z], cy[z]
+                h = cx[e]
+                if sa[c] != sx[e] or ca[c] != sigma[h][f] or cb[z] != col[h][f]:
+                    return x, y, z
+    return None
+
+
+def _involutive_witness(sigma, col) -> Optional[tuple[int, int]]:
+    """The first pair, in lexicographic order, with r(r(x,y)) != (x,y)."""
+    for x, (sx, cx) in enumerate(zip(sigma, col)):
+        for y, (u, v) in enumerate(zip(sx, cx)):
+            if sigma[u][v] != x or col[u][v] != y:
+                return x, y
+    return None
+
+
 def check_solution(S: SetSolution) -> SolutionReport:
     """Bijectivity of r, the braid relation, non-degeneracy and involutivity,
-    with witnesses for braid and involutivity failures."""
-    n = S.size
-    images = {S.r(x, y) for x in range(n) for y in range(n)}
-    bijective = len(images) == n * n
+    with witnesses for braid and involutivity failures.
 
-    nondegenerate = is_nondegenerate(S)
-
-    def r1(t):
-        u, v = S.r(t[0], t[1])
-        return (u, v, t[2])
-
-    def r2(t):
-        u, v = S.r(t[1], t[2])
-        return (t[0], u, v)
-
-    ybe = True
-    braid_witness = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = (x, y, z)
-                if r1(r2(r1(t))) != r2(r1(r2(t))):
-                    ybe = False
-                    braid_witness = t
-                    break
-            if not ybe:
-                break
-        if not ybe:
-            break
-
-    involutive = True
-    involutive_witness = None
-    for x in range(n):
-        for y in range(n):
-            u, v = S.r(x, y)
-            if S.r(u, v) != (x, y):
-                involutive = False
-                involutive_witness = (x, y)
-                break
-        if not involutive:
-            break
-
-    return SolutionReport(bijective, ybe, nondegenerate, involutive,
+    Every pair and every triple is checked, so a witness is the first
+    failing one in lexicographic order.
+    """
+    sigma, col = S.sigma, tuple(zip(*S.tau))
+    images = {p for sx, cx in zip(sigma, col) for p in zip(sx, cx)}
+    braid_witness = _braid_witness(sigma, col)
+    involutive_witness = _involutive_witness(sigma, col)
+    return SolutionReport(len(images) == S.size ** 2, braid_witness is None,
+                          is_nondegenerate(S), involutive_witness is None,
                           braid_witness, involutive_witness)
 
 
@@ -193,22 +197,28 @@ def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ..
 
 
 def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Breadth-first closure of a set of permutations under composition."""
+    """Breadth-first closure of a set of permutations under composition.
+
+    Raises ``BoundExceededError`` once the closure would store more than
+    ``PERMUTATION_CLOSURE_BOUND`` integers.
+    """
     identity = tuple(range(n))
     gens = sorted({tuple(g) for g in generators})
+    limit = PERMUTATION_CLOSURE_BOUND // max(n, 1)
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(p[g[i]] for i in range(n))
+                q = tuple(map(p.__getitem__, g))
                 if q not in group:
                     group.add(q)
                     nxt.append(q)
-                    if len(group) > PERMUTATION_CLOSURE_BOUND:
+                    if len(group) > limit:
                         raise BoundExceededError(
-                            f"permutation closure exceeded bound {PERMUTATION_CLOSURE_BOUND}")
+                            f"permutation closure exceeded {limit} permutations of {n} points "
+                            f"(bound {PERMUTATION_CLOSURE_BOUND} stored integers)")
         frontier = nxt
     return sorted(group)
 

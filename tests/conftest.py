@@ -31,7 +31,7 @@ from bracekit.groups import (
 from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
 from bracekit.ideals import a2
 from bracekit.invariants import is_perfect, radical_set, weight
-from bracekit.ybe import SetSolution
+from bracekit.ybe import SetSolution, SolutionReport, is_nondegenerate
 
 
 @pytest.fixture(autouse=True)
@@ -384,6 +384,54 @@ def oracle_check_star_identities(A: SkewBrace) -> CheckReport:
                     return CheckReport("star-identities", "fail",
                                        (("identity", "(x∘y)*z"), ("witness", (x, y, z))))
     return CheckReport("star-identities", "pass")
+
+
+def oracle_check_solution(S: SetSolution) -> SolutionReport:
+    """``check_solution`` as the direct scan: r1 = r x id and r2 = id x r
+    applied to every triple through ``S.r``."""
+    n = S.size
+    images = {S.r(x, y) for x in range(n) for y in range(n)}
+    bijective = len(images) == n * n
+
+    nondegenerate = is_nondegenerate(S)
+
+    def r1(t):
+        u, v = S.r(t[0], t[1])
+        return (u, v, t[2])
+
+    def r2(t):
+        u, v = S.r(t[1], t[2])
+        return (t[0], u, v)
+
+    ybe = True
+    braid_witness = None
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                t = (x, y, z)
+                if r1(r2(r1(t))) != r2(r1(r2(t))):
+                    ybe = False
+                    braid_witness = t
+                    break
+            if not ybe:
+                break
+        if not ybe:
+            break
+
+    involutive = True
+    involutive_witness = None
+    for x in range(n):
+        for y in range(n):
+            u, v = S.r(x, y)
+            if S.r(u, v) != (x, y):
+                involutive = False
+                involutive_witness = (x, y)
+                break
+        if not involutive:
+            break
+
+    return SolutionReport(bijective, ybe, nondegenerate, involutive,
+                          braid_witness, involutive_witness)
 
 
 # ---------------------------------------------------------------------------

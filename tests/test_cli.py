@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from bracekit.braces import trivial_brace
 from bracekit import cli
-from bracekit.cli import main
+from bracekit.cli import build_parser, main
 from bracekit import invariants
 from bracekit.formats import (
     MAX_INPUT_ORDER,
@@ -333,3 +334,59 @@ def test_console_entry_point(ring_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid skew brace" in proc.stdout
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one in-process call; a usage error
+    exits through ``SystemExit``, as it does from the console."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
+    """Calls in one process through the one parser give what each gives on a
+    freshly built parser: an option of one call never leaks into the next."""
+    assert build_parser() is build_parser()
+    broken = tmp_path / "broken.json"
+    save_solution(make_solution([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(0, 1, 2)] * 3), broken)
+    sweep_out = tmp_path / "sweep.json"
+    calls = [
+        ["report", ring_path, "--json", "--desc-bound", "12"],
+        ["report", ring_path],
+        ["sweep", "8", "--jobs", "2", "--out", str(sweep_out)],
+        ["sweep", "8"],
+        ["ybe", "check", str(broken), "--witness"],
+        ["sweep", "8", "--jobs", "0"],
+        ["ybe", "check", str(broken)],
+    ]
+
+    reused = [_outcome(argv, capsys) for argv in calls]
+    reused_sweep = sweep_out.read_bytes()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 2, 1]
+    assert reused == fresh
+    assert sweep_out.read_bytes() == reused_sweep
+    assert "braid_witness" in reused[4][1] and "braid_witness" not in reused[6][1]
+
+
+def test_ybe_group_on_a_huge_permutation_group_exits_3_fast(tmp_path, capsys):
+    """The sigma maps of this 256-point solution, a 256-cycle and a
+    transposition, generate the symmetric group of degree 256.  Its closure
+    stops at the bound on stored integers, 39,062 permutations of 256
+    points, within seconds."""
+    n = MAX_INPUT_ORDER
+    cycle = tuple((i + 1) % n for i in range(n))
+    transposition = (1, 0, *range(2, n))
+    path = tmp_path / "huge-group.json"
+    save_solution(make_solution([cycle, transposition] * (n // 2), [tuple(range(n))] * n), path)
+    start = time.perf_counter()
+    assert main(["ybe", "group", str(path)]) == cli.EXIT_BOUND_EXCEEDED == 3
+    assert time.perf_counter() - start < 10
+    assert "bound exceeded: permutation closure" in capsys.readouterr().err

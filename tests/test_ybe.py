@@ -1,10 +1,14 @@
-import itertools
+from functools import cache
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bracekit.braces import trivial_brace, verify_brace
 from bracekit.catalog import enumerate_braces
 from bracekit.grouptables import cyclic, dihedral
+from bracekit import ybe
+from bracekit.groups import BoundExceededError
 from bracekit.ybe import (
     _orbits_of_maps,
     check_solution,
@@ -21,7 +25,7 @@ from bracekit.ybe import (
     solution_orbits,
 )
 
-from conftest import flip_solution, triangle
+from conftest import flip_solution, oracle_check_solution, triangle
 
 
 def two_parallel_swaps():
@@ -37,23 +41,6 @@ def c3_doubling():
     sigma = [tuple((2 * y) % 3 for y in range(3)) for _ in range(3)]
     tau = [tuple((x + 2 * y) % 3 for x in range(3)) for y in range(3)]
     return make_solution(sigma, tau)
-
-
-def brute_braid_check(S):
-    """Oracle: apply r1 = r x id and r2 = id x r to every triple directly."""
-    def r1(t):
-        a, b = S.r(t[0], t[1])
-        return (a, b, t[2])
-
-    def r2(t):
-        a, b = S.r(t[1], t[2])
-        return (t[0], a, b)
-
-    n = S.size
-    for t in itertools.product(range(n), repeat=3):
-        if r1(r2(r1(t))) != r2(r1(r2(t))):
-            return False
-    return True
 
 
 def test_make_solution_validation():
@@ -75,7 +62,7 @@ def test_two_parallel_swaps_example():
     rep = check_solution(S)
     assert rep.is_bijective and rep.is_ybe and rep.is_nondegenerate
     assert not rep.is_involutive and rep.involutive_witness is not None
-    assert brute_braid_check(S)
+    assert oracle_check_solution(S).is_ybe
     summary = permutation_group(S)
     assert summary.order == 2
     assert summary.orbits == ((0, 1), (2,), (3,))  # sigma maps alone
@@ -100,7 +87,7 @@ def test_c3_doubling_example():
     rep = check_solution(S)
     assert rep.is_ybe and rep.is_nondegenerate
     assert not rep.is_involutive  # r^2(0,1) = (1,0)
-    assert brute_braid_check(S)
+    assert oracle_check_solution(S).is_ybe
     assert permutation_group(S).order == 2
     assert solution_orbits(S) == ((0, 1, 2),)
     assert not is_trivial_solution(S)
@@ -122,7 +109,7 @@ def test_braid_witness_on_broken_solution():
     S = make_solution(sigma, tau)
     rep = check_solution(S)
     assert not rep.is_ybe and rep.braid_witness is not None
-    assert not brute_braid_check(S)
+    assert not oracle_check_solution(S).is_ybe
 
 
 def test_solution_from_trivial_brace_is_conjugation():
@@ -198,3 +185,47 @@ def test_close_permutations():
     group = close_permutations(3, [(1, 0, 2), (0, 2, 1)])
     assert len(group) == 6
     assert tuple(range(3)) in group
+
+
+def test_close_permutations_bounds_stored_integers(monkeypatch):
+    """The bound counts stored integers, permutations times points: 36
+    integers hold 12 permutations of 3 points but only 6 of 6 points."""
+    monkeypatch.setattr(ybe, "PERMUTATION_CLOSURE_BOUND", 36)
+    assert len(close_permutations(3, [(1, 0, 2), (1, 2, 0)])) == 6
+    assert len(close_permutations(6, [(1, 2, 3, 4, 5, 0)])) == 6
+    with pytest.raises(BoundExceededError, match="6 permutations of 6 points"):
+        close_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+
+
+@cache
+def catalog_solutions() -> tuple:
+    """The solution of every catalog brace of order <= 12, each followed by
+    its derived solution."""
+    out = []
+    for n in range(1, 13):
+        for A in enumerate_braces(n, use_disk_cache=False).braces:
+            S = solution_from_brace(A)
+            out += [S, derived_solution(S)]
+    return tuple(out)
+
+
+def test_check_solution_matches_oracle_on_catalog_solutions():
+    for S in catalog_solutions():
+        assert check_solution(S) == oracle_check_solution(S)
+
+
+@seed(20201)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_solution_matches_oracle_on_one_swap_mutants(data):
+    """Swapping two entries of one row of sigma or tau keeps the solution
+    non-degenerate but mostly breaks the braid relation or involutivity;
+    the reports, witnesses included, must be the oracle's."""
+    S = data.draw(st.sampled_from([S for S in catalog_solutions() if S.size > 1]))
+    name = data.draw(st.sampled_from(["sigma", "tau"]))
+    x = data.draw(st.integers(0, S.size - 1))
+    i, j = data.draw(st.lists(st.integers(0, S.size - 1), min_size=2, max_size=2, unique=True))
+    rows = [list(row) for row in getattr(S, name)]
+    rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    M = S._replace(**{name: tuple(map(tuple, rows))})
+    assert check_solution(M) == oracle_check_solution(M)
