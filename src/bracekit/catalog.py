@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -22,12 +24,17 @@ from .braces import (
     check_star_identities,
     verify_brace,
 )
-from .groups import FiniteGroup, GroupAxiomError, automorphism_group, relabel_table
-from .grouptables import groups_of_order
+from .groups import (
+    FiniteGroup,
+    GroupAxiomError,
+    automorphism_group,
+    flat_permutation,
+    sylow_subgroup,
+)
+from .grouptables import MAX_ORDER, groups_of_order
 from .invariants import brace_report, theorem_checks
 
 METHOD = "holomorph"
-HOLOMORPH_MAX_ORDER = 12
 
 
 class BraceCatalog(NamedTuple):
@@ -39,62 +46,107 @@ class BraceCatalog(NamedTuple):
     counts: tuple[tuple[str, int], ...]
 
 
-def _aut_tables(G: FiniteGroup):
-    auts = list(automorphism_group(G))
-    index = {a: i for i, a in enumerate(auts)}
-    comp = [[index[tuple(p[x] for x in q)] for q in auts] for p in auts]
-    return auts, index, comp
+def _lambda_group(auts: tuple[tuple[int, ...], ...], n: int) -> tuple[bytes, ...]:
+    """The automorphisms the λ-search assigns on a group G of order n with
+    automorphism group ``auts``, as ``flat_permutation``s with the identity
+    first: one Sylow p-subgroup P of Aut(G) when n = p^k, and all of Aut(G)
+    otherwise.
+
+    For a brace A on G, λ is a homomorphism from (A,∘), of order p^k, into
+    Aut(G), so its image is a p-group and lies in φPφ⁻¹ for some φ in
+    Aut(G) (Sylow).  Relabeling A by ψ in Aut(G) is an isomorphism and
+    turns each λ_a into ψλ_aψ⁻¹, so ψ = φ⁻¹ puts the image in P: every
+    class has a circle table whose λ lies in P.
+    """
+    flat = tuple(map(flat_permutation, auts))
+    p = min((d for d in range(2, n + 1) if n % d == 0), default=n)  # least prime factor
+    q = p
+    while q < n:
+        q *= p
+    return sylow_subgroup(flat, p) if q == n > 1 else flat
 
 
-def _circle_tables_holomorph(G: FiniteGroup) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
-    """Aut(G) and all circle tables compatible with G, via the lambda-map
-    cocycle search."""
+def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], list[tuple[tuple[int, ...], ...]]]:
+    """Aut(G) and the circle tables compatible with G whose λ lies in
+    ``_lambda_group``, via the lambda-map cocycle search.
+
+    λ_0 is the identity.  The search assigns λ_x to the least unassigned x,
+    trying each element of the λ-group in turn, and propagates the cocycle
+    condition: for assigned u and v, c = u + λ_u(v) must get λ_u λ_v.  An
+    element is checked, in both orders, against itself and the elements
+    popped before it, so each pair is checked once; at a fixpoint every
+    assigned pair has been checked, as by a check of every pair at every
+    pop.  The λ-group is a group, so the composites stay in it, and
+    ``comp`` is its composition table, built with ``bytes.translate``.
+    """
     n = G.order
-    auts, index, comp = _aut_tables(G)
-    id_idx = index[tuple(range(n))]
+    table = G.table
+    auts = automorphism_group(G)
+    lams = _lambda_group(auts, n)
+    index = {lam: i for i, lam in enumerate(lams)}
+    comp = [[index[q.translate(p)] for q in lams] for p in lams]
     assign: list[Optional[int]] = [None] * n
-    assign[0] = id_idx
+    assign[0] = index[flat_permutation(range(n))]
+    done: list[int] = []  # the popped elements, already checked pairwise
     out: list[tuple[tuple[int, ...], ...]] = []
 
     def propagate(seed: int, trail: list[int]) -> bool:
         queue = [seed]
         while queue:
             e = queue.pop()
-            for a in range(n):
-                if assign[a] is None:
-                    continue
-                for u, v in ((e, a), (a, e)):
-                    c = G.table[u][auts[assign[u]][v]]
-                    lam_c = comp[assign[u]][assign[v]]
-                    if assign[c] is None:
+            done.append(e)
+            i = assign[e]
+            lam_e, row_e, comp_e = lams[i], table[e], comp[i]
+            for a in done:
+                j = assign[a]
+                for c, lam_c in ((row_e[lam_e[a]], comp_e[j]), (table[a][lams[j][e]], comp[j][i])):
+                    known = assign[c]
+                    if known is None:
                         assign[c] = lam_c
                         trail.append(c)
                         queue.append(c)
-                    elif assign[c] != lam_c:
+                    elif known != lam_c:
                         return False
         return True
 
-    def search() -> None:
-        x = next((i for i in range(n) if assign[i] is None), None)
+    def search(start: int) -> None:
+        # the elements before start are assigned, and stay so below this call
+        x = next((i for i in range(start, n) if assign[i] is None), None)
         if x is None:
-            out.append(tuple(tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
+            out.append(tuple(tuple(map(table[a].__getitem__, lams[assign[a]][:n]))
                              for a in range(n)))
             return
-        for cand in range(len(auts)):
+        mark = len(done)
+        for cand in range(len(lams)):
             assign[x] = cand
             trail = [x]
             if propagate(x, trail):
-                search()
+                search(x + 1)
             for e in trail:
                 assign[e] = None
+            del done[mark:]
 
     if propagate(0, []):
-        search()
+        search(1)
     return auts, out
 
 
-def _build_catalog(n: int) -> BraceCatalog:
-    """Canonical representatives of the braces of order n, group by group.
+def _relabeling(phi: tuple[int, ...]):
+    """(take, p) such that ``bytes(take(flat)).translate(p)`` is the flat
+    (row-major ``bytes``) table relabeled by phi, as ``relabel_table``:
+    new[phi(a)][phi(b)] = phi(old[a][b])."""
+    n = len(phi)
+    inv = [0] * n
+    for a, b in enumerate(phi):
+        inv[b] = a
+    idx = [inv[c] * n + inv[d] for c in range(n) for d in range(n)]
+    # itemgetter of a single index returns that item, not a 1-tuple
+    return (itemgetter(*idx) if len(idx) > 1 else tuple), flat_permutation(phi)
+
+
+def _classes(G: FiniteGroup) -> list[SkewBrace]:
+    """The braces with additive group G up to isomorphism, each as its
+    canonical circle table, in increasing order.
 
     Braces with additive group G are isomorphic exactly when an additive
     automorphism carries one circle table to the other, so a class is an
@@ -102,23 +154,34 @@ def _build_catalog(n: int) -> BraceCatalog:
     not yet seen has its orbit generated once and marked as seen, so the
     relabelings number classes x |Aut|, not tables x |Aut|.  This is exact
     without the table list being Aut-stable: every member of an orbit has
-    the same orbit, hence the same minimum, kept when it was first marked.
+    the same orbit, hence the same minimum, kept when it was first marked;
+    and the search returns a member of every orbit (``_lambda_group``).
+    Tables are relabeled and compared as flat ``bytes``: for tables of one
+    order, bytes order is the order of their rows as tuples.
     """
-    if n > HOLOMORPH_MAX_ORDER:
-        raise ValueError(f"holomorph enumeration supports order <= {HOLOMORPH_MAX_ORDER}")
+    n = G.order
+    auts, tables = _circle_tables_holomorph(G)
+    relabelings = [_relabeling(phi) for phi in auts]
+    seen: set[bytes] = set()
+    canon = []
+    for t in tables:
+        flat = bytes(chain.from_iterable(t))
+        if flat not in seen:
+            orbit = {bytes(take(flat)).translate(p) for take, p in relabelings}
+            seen |= orbit
+            canon.append(min(orbit))
+    return [verify_brace(G.table, [c[i:i + n] for i in range(0, n * n, n)]) for c in sorted(canon)]
+
+
+def _build_catalog(n: int) -> BraceCatalog:
+    """Canonical representatives of the braces of order n, group by group."""
+    if n > MAX_ORDER:
+        raise ValueError(f"holomorph enumeration supports order <= {MAX_ORDER}")
     braces: list[SkewBrace] = []
     names: list[str] = []
     counts: list[tuple[str, int]] = []
     for name, G in groups_of_order(n):
-        auts, tables = _circle_tables_holomorph(G)
-        seen: set[tuple[tuple[int, ...], ...]] = set()
-        canon = []
-        for t in tables:
-            if t not in seen:
-                orbit = {relabel_table(t, phi) for phi in auts}
-                seen |= orbit
-                canon.append(min(orbit))
-        classes = [verify_brace(G.table, t) for t in sorted(canon)]
+        classes = _classes(G)
         braces.extend(classes)
         names.extend([name] * len(classes))
         counts.append((name, len(classes)))

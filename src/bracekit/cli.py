@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .braces import BraceAxiomError, check_star_identities
-from .catalog import (
-    HOLOMORPH_MAX_ORDER,
-    METHOD,
-    BraceCatalog,
-    catalog_invariant_sweep,
-    enumerate_braces,
-)
+from .catalog import METHOD, BraceCatalog, catalog_invariant_sweep, enumerate_braces
 from .formats import (
     InputFormatError,
     brace_payload,
@@ -38,6 +32,7 @@ from .formats import (
     solution_payload,
 )
 from .groups import BoundExceededError, GroupAxiomError, group_signature
+from .grouptables import MAX_ORDER
 from .ideals import (
     a2,
     all_ideals,
@@ -177,8 +172,8 @@ def _catalog(order) -> BraceCatalog:
         n = int(order)
     except ValueError:
         raise InputFormatError(f"order must be an integer, got {order!r}") from None
-    if not 1 <= n <= HOLOMORPH_MAX_ORDER:
-        raise InputFormatError(f"braces are enumerated for orders 1..{HOLOMORPH_MAX_ORDER}, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise InputFormatError(f"braces are enumerated for orders 1..{MAX_ORDER}, got {n}")
     return enumerate_braces(n)
 
 

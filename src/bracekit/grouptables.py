@@ -1,4 +1,4 @@
-"""Built-in Cayley tables for every group of order 1..12.
+"""Built-in Cayley tables for every group of order 1..MAX_ORDER.
 
 The base tables (cyclic, dihedral, dicyclic, alternating) are written from
 standard presentations and verified through verify_group_axioms when built.
@@ -12,6 +12,8 @@ import itertools
 from functools import lru_cache
 
 from .groups import FiniteGroup, _semidirect_group, verify_group_axioms
+
+MAX_ORDER = 12  # the largest order with built-in group tables, so with a brace catalog
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -75,8 +77,8 @@ def _is_even(p: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def groups_of_order(n: int) -> tuple[tuple[str, FiniteGroup], ...]:
-    """All groups of order n (1 <= n <= 12), as (name, group) pairs."""
-    if not 1 <= n <= 12:
+    """All groups of order n (1 <= n <= MAX_ORDER), as (name, group) pairs."""
+    if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"no built-in group tables for order {n}")
     builders = {
         1: [("C1", lambda: cyclic(1))],

@@ -95,7 +95,13 @@ def fix(A: SkewBrace) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def a2(A: SkewBrace) -> frozenset[int]:
-    """The ideal A^(2): additive subgroup generated by all star values."""
+    """The ideal A^(2): additive subgroup generated by all star values.
+
+    It is an ideal.  λ_c(a*b) = (c∘a)*b - c*b, so it is λ-stable, and
+    y + x*z - y = -(x*y) + x*(y+z), so it is normal in (A,+).  For i in it,
+    i∘a = i + i*a + a lies in A^(2) + a = a + λ_a(A^(2)) = a∘A^(2), so it is
+    normal in (A,∘).
+    """
     return star_product(A, A.elements(), A.elements())
 
 
@@ -109,19 +115,30 @@ def ideal_sum(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int
     return subgroup_closure(A.add, set(I) | set(J))
 
 
-@lru_cache(maxsize=None)
 def quotient_brace(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
-    """Brace on the cosets of an ideal; returns (quotient, projection).
+    """Brace on the cosets of an ideal, checked here; see ``_brace_cosets``.
 
-    ``is_ideal`` proves I normal in both groups, so the cosets are built
-    unchecked.  For an ideal, a+I = a∘I, since a∘i = a + λ_a(i) and
-    λ_a(I) = I.  Both quotient groups label cosets by their least member, so
-    their projections are equal, and the projection carries the
-    compatibility of A onto A/I: the quotient is not verified again.
+    Raises ValueError, with the witness of ``is_ideal``, when I is not an
+    ideal.
     """
     ok, witness = is_ideal(A, I)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
+    return _brace_cosets(A, I)
+
+
+@lru_cache(maxsize=None)
+def _brace_cosets(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
+    """A/I for an ideal I, unchecked; returns (quotient, projection).
+
+    An ideal is normal in both groups, so both sets of cosets are groups.
+    For an ideal, a+I = a∘I, since a∘i = a + λ_a(i) and λ_a(I) = I.  Both
+    quotient groups label cosets by their least member, so their
+    projections are equal, and the projection carries the compatibility of
+    A onto A/I: the quotient is not verified again.  Callers that take I
+    from the ideal lattice, or can say in one line why I is an ideal, call
+    this directly; the rest call ``quotient_brace``.
+    """
     Q_add, projection = _cosets(A.add, I)
     Q_circle, _ = _cosets(A.circle, I)
     return _brace_of(Q_add, Q_circle), projection

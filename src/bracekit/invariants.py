@@ -27,16 +27,16 @@ from .groups import (
     quotient_group,
 )
 from .ideals import (
+    _brace_cosets,
     a2,
     all_ideals,
     annihilator,
     fix,
     ideal_closure,
     ideal_sum,
-    is_prime_ideal,
+    is_prime_brace,
     is_small_ideal,
     maximal_ideals,
-    quotient_brace,
     small_ideals,
     socle,
     star_product,
@@ -90,7 +90,12 @@ def radical_set(A: SkewBrace) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def radical_prime_set(A: SkewBrace) -> frozenset[int]:
     """Intersection of the prime maximal ideals; the whole brace if none."""
-    return _full(A).intersection(*(M for M in maximal_ideals(A) if is_prime_ideal(A, M)))
+    return _full(A).intersection(*(M for M in maximal_ideals(A) if _is_prime_maximal(A, M)))
+
+
+def _is_prime_maximal(A: SkewBrace, M: frozenset[int]) -> bool:
+    """``is_prime_ideal`` for a maximal ideal M, which is a lattice ideal."""
+    return is_prime_brace(_brace_cosets(A, M)[0])
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +179,7 @@ def weight(A: SkewBrace, use_radical_opt: bool = True) -> WeightCertificate:
     R = radical_set(A)
     if R == frozenset({0}):
         return _subset_search(A)
-    Q, projection = quotient_brace(A, R)
+    Q, projection = _brace_cosets(A, R)  # Rad(A) is A or a meet of lattice ideals
     cert = _subset_search(Q)
     lifted = frozenset(
         min(a for a in A.elements() if projection[a] == q) for q in cert.generating_set
@@ -194,7 +199,7 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     operations.
     """
     R = radical_set(A)
-    B, _ = quotient_brace(A, R)
+    B, _ = _brace_cosets(A, R)  # Rad(A) is A or a meet of lattice ideals
     zero = frozenset({0})
     if B.order == 1:
         P = zero_brace()
@@ -225,7 +230,7 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     factors = []
     projections = []
     for M in family:
-        F, proj = quotient_brace(B, M)
+        F, proj = _brace_cosets(B, M)  # M is a maximal ideal, from the lattice
         if not is_simple(F):
             raise AssertionError("quotient by a maximal ideal must be simple")
         factors.append(F)
@@ -273,7 +278,7 @@ def check_prop_np(A: SkewBrace) -> CheckReport:
     """A maximal ideal is prime exactly when A^(2) is not contained in it."""
     A2 = a2(A)
     for M in maximal_ideals(A):
-        if is_prime_ideal(A, M) != (not A2 <= M):
+        if _is_prime_maximal(A, M) != (not A2 <= M):
             return CheckReport("prop-np", "fail", (("maximal_ideal", tuple(sorted(M))),))
     return CheckReport("prop-np", "pass")
 
@@ -281,7 +286,7 @@ def check_prop_np(A: SkewBrace) -> CheckReport:
 def check_kutzko(A: SkewBrace) -> CheckReport:
     """omega(A) = omega(A/A^(2))."""
     wa = weight(A).weight
-    Q, _ = quotient_brace(A, a2(A))
+    Q, _ = _brace_cosets(A, a2(A))  # A^(2) is an ideal (see ``a2``)
     wq = weight(Q).weight
     status = "pass" if wa == wq else "fail"
     return CheckReport("kutzko", status, (("omega", wa), ("omega_quotient", wq)))
@@ -307,8 +312,8 @@ def _squarefree(n: int) -> bool:
 def check_square_free(A: SkewBrace) -> CheckReport:
     """omega(A) equals the minimal generator count of (B/B^(2))_ab for
     B = A/Rad(A); in particular square-free order forces weight one."""
-    B, _ = quotient_brace(A, radical_set(A))
-    C, _ = quotient_brace(B, a2(B))
+    B, _ = _brace_cosets(A, radical_set(A))  # Rad(A) is A or a meet of lattice ideals
+    C, _ = _brace_cosets(B, a2(B))  # B^(2) is an ideal (see ``a2``)
     Cab, _ = quotient_group(C.add, commutator_subgroup(C.add))
     target = weight(trivial_brace(Cab)).weight
     w = weight(A).weight
@@ -368,9 +373,23 @@ def check_prop_a2(A: SkewBrace) -> CheckReport:
 
 
 def schur_embedding(A: SkewBrace) -> CheckReport:
-    """The coset map a+Ann(A) ↦ (a*x_i, x_i*a, [a,x_i]_+)_i over an additive
-    generating set: verified well-defined and injective."""
+    """The coset map a+Ann(A) ↦ (a*x_i, x_i*a, [a,x_i]_+)_i: verified
+    well-defined and injective.
+
+    The x_i are ``generating_sequence(A.add)`` followed by the generators of
+    (A,∘) not already in it, a set S that generates both groups.  Then the a
+    with the image of 0 are exactly Ann(A).  Say a*s = 0, s*a = 0 and
+    [a,s]_+ = 0 for every s in S.  λ_a is additive and fixes the additive
+    generators, so λ_a = id; with a central in (A,+), a is in Soc(A).  The
+    x with λ_x(a) = a form a subgroup of (A,∘), since x ↦ λ_x is a
+    homomorphism from (A,∘), and it contains the circle generators, so it
+    is A.  Then x∘a = x + a = a + x = a∘x for every x, so a is in Ann(A).
+    Additive generators alone do not suffice, since x ↦ λ_x is not a
+    homomorphism from (A,+): at order 16 they let a ∉ Ann(A) share the
+    image of 0.
+    """
     gens = generating_sequence(A.add)
+    gens += tuple(g for g in generating_sequence(A.circle) if g not in gens)
     ann = annihilator(A)
 
     def image(a: int) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import pytest
@@ -17,6 +18,7 @@ from bracekit.braces import (
     trivial_brace,
     verify_brace,
 )
+from bracekit.catalog import _classes
 from bracekit.groups import (
     FiniteGroup,
     GroupAxiomError,
@@ -29,7 +31,7 @@ from bracekit.groups import (
     verify_group_axioms,
 )
 from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
-from bracekit.ideals import a2
+from bracekit.ideals import a2, annihilator
 from bracekit.invariants import is_perfect, radical_set, weight
 from bracekit.ybe import SetSolution, SolutionReport, is_nondegenerate
 
@@ -64,6 +66,20 @@ def s3_brace(s3_group) -> SkewBrace:
 
 def klein_group() -> FiniteGroup:
     return direct_product_group(cyclic(2), cyclic(2))
+
+
+ORDER_16_GROUPS = {
+    "C8xC2": lambda: direct_product_group(cyclic(8), cyclic(2)),
+    "C4xC4": lambda: direct_product_group(cyclic(4), cyclic(4)),
+    "C4xC2xC2": lambda: direct_product_group(cyclic(4), klein_group()),
+}
+
+
+@lru_cache(maxsize=None)
+def order_16_classes(name: str) -> tuple[SkewBrace, ...]:
+    """The braces with one of the additive groups of ``ORDER_16_GROUPS`` up
+    to isomorphism, as the catalog builds them for one group."""
+    return tuple(_classes(ORDER_16_GROUPS[name]()))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +312,107 @@ def oracle_non_generators(A: SkewBrace) -> frozenset[int]:
         if all((S | {a}) not in generating or S in generating for S in subsets):
             out.add(a)
     return frozenset(out)
+
+
+def oracle_extend_hom(G: FiniteGroup, H: FiniteGroup, pairs) -> Optional[dict[int, int]]:
+    """Worklist closure of 0 -> 0 plus the pairs under products with every
+    mapped element, in both orders; None on a clash."""
+    m: dict[int, int] = {0: 0}
+    work: list[int] = []
+    for g, img in pairs:
+        if g in m:
+            if m[g] != img:
+                return None
+        else:
+            m[g] = img
+            work.append(g)
+    while work:
+        x = work.pop()
+        for y in list(m):
+            for a, b in ((x, y), (y, x)):
+                z = G.table[a][b]
+                mz = H.table[m[a]][m[b]]
+                if z in m:
+                    if m[z] != mz:
+                        return None
+                else:
+                    m[z] = mz
+                    work.append(z)
+    return m
+
+
+def oracle_circle_tables_holomorph(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """Every circle table compatible with G: the cocycle search with λ over
+    all of Aut(G), each popped element checked against every assigned one."""
+    n = G.order
+    auts = list(automorphism_group(G))
+    index = {a: i for i, a in enumerate(auts)}
+    comp = [[index[tuple(p[x] for x in q)] for q in auts] for p in auts]
+    assign: list[Optional[int]] = [None] * n
+    assign[0] = index[tuple(range(n))]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def propagate(seed: int, trail: list[int]) -> bool:
+        queue = [seed]
+        while queue:
+            e = queue.pop()
+            for a in range(n):
+                if assign[a] is None:
+                    continue
+                for u, v in ((e, a), (a, e)):
+                    c = G.table[u][auts[assign[u]][v]]
+                    lam_c = comp[assign[u]][assign[v]]
+                    if assign[c] is None:
+                        assign[c] = lam_c
+                        trail.append(c)
+                        queue.append(c)
+                    elif assign[c] != lam_c:
+                        return False
+        return True
+
+    def search() -> None:
+        x = next((i for i in range(n) if assign[i] is None), None)
+        if x is None:
+            out.append(tuple(tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
+                             for a in range(n)))
+            return
+        for cand in range(len(auts)):
+            assign[x] = cand
+            trail = [x]
+            if propagate(x, trail):
+                search()
+            for e in trail:
+                assign[e] = None
+
+    if propagate(0, []):
+        search()
+    return out
+
+
+def oracle_mark_orbits(G: FiniteGroup, tables) -> list[tuple[tuple[int, ...], ...]]:
+    """The least member of the Aut(G)-orbit of each table, once per orbit and
+    sorted, with orbits generated by ``relabel_table`` on nested tuples."""
+    seen: set = set()
+    canon = []
+    for t in tables:
+        if t not in seen:
+            orbit = {relabel_table(t, phi) for phi in automorphism_group(G)}
+            seen |= orbit
+            canon.append(min(orbit))
+    return sorted(canon)
+
+
+def oracle_schur_embedding(A: SkewBrace) -> str:
+    """The status of the Schur embedding check with x_i over all of A."""
+    ann = annihilator(A)
+
+    def image(a: int) -> tuple:
+        return tuple((A.star(a, x), A.star(x, a), A.add.commutator(a, x)) for x in A.elements())
+
+    cosets = {frozenset(A.plus(a, z) for z in ann) for a in A.elements()}
+    if any(len({image(a) for a in coset}) != 1 for coset in cosets):
+        return "fail"
+    return "pass" if len({image(min(coset)) for coset in cosets}) == len(cosets) else "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,16 +12,24 @@ from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
     _circle_tables_holomorph,
+    _lambda_group,
+    _relabeling,
     cache_directory,
     catalog_invariant_sweep,
     enumerate_braces,
 )
 from bracekit.cli import main
 from bracekit.formats import dumps
-from bracekit.groups import automorphism_group, relabel_table
-from bracekit.grouptables import groups_of_order
+from bracekit.groups import automorphism_group, flat_permutation, relabel_table
+from bracekit.grouptables import MAX_ORDER, cyclic, direct_product_group, groups_of_order
 
-from conftest import oracle_canonical_circle, oracle_enumerate
+from conftest import (
+    ORDER_16_GROUPS,
+    oracle_canonical_circle,
+    oracle_circle_tables_holomorph,
+    oracle_enumerate,
+    oracle_mark_orbits,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 6, 7: 1, 8: 47,
                 9: 4, 10: 6, 11: 1, 12: 38}
@@ -49,6 +58,75 @@ def test_orbit_marking_matches_the_canonical_form_oracle(n):
         _, tables = _circle_tables_holomorph(G)
         assert entries == sorted({oracle_canonical_circle(G, t) for t in tables})
         assert all(oracle_canonical_circle(G, t) == t for t in entries)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_catalog_matches_the_unrestricted_search_oracle(n):
+    """The Sylow-restricted search with flat orbit marking gives the catalog
+    of the search over all of Aut(G) with ``relabel_table`` orbit marking."""
+    catalog = _build_catalog(n)
+    for name, G in groups_of_order(n):
+        entries = [A.circle.table for g, A in zip(catalog.additive_names, catalog.braces) if g == name]
+        assert entries == oracle_mark_orbits(G, oracle_circle_tables_holomorph(G))
+
+
+@pytest.mark.parametrize("G, restricted, unrestricted", [
+    (direct_product_group(cyclic(2), direct_product_group(cyclic(2), cyclic(2))), 28, 232),
+    (direct_product_group(cyclic(3), cyclic(3)), 3, 9),
+], ids=["C2xC2xC2", "C3xC3"])
+def test_sylow_restriction_table_counts(G, restricted, unrestricted):
+    assert len(_circle_tables_holomorph(G)[1]) == restricted
+    assert len(oracle_circle_tables_holomorph(G)) == unrestricted
+
+
+def _p_part(m: int, p: int) -> int:
+    q = 1
+    while m % (q * p) == 0:
+        q *= p
+    return q
+
+
+PRIME_POWER_GROUPS = [(name, G, n) for n in (2, 3, 4, 5, 7, 8, 9, 11)
+                      for name, G in groups_of_order(n)] + \
+    [(name, build(), 16) for name, build in ORDER_16_GROUPS.items()]
+
+
+@pytest.mark.parametrize("name, G, n", PRIME_POWER_GROUPS, ids=[g[0] for g in PRIME_POWER_GROUPS])
+def test_lambda_group_is_a_sylow_subgroup_of_aut(name, G, n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    auts = set(map(flat_permutation, automorphism_group(G)))
+    P = _lambda_group(automorphism_group(G), n)
+    assert P[0] == flat_permutation(range(G.order))
+    assert len(set(P)) == len(P) == _p_part(len(auts), p)
+    assert set(P) <= auts
+    assert {q.translate(r) for r in P for q in P} == set(P)
+
+
+@pytest.mark.parametrize("n", (1, 6, 10, 12))
+def test_lambda_group_is_all_of_aut_off_prime_powers(n):
+    for _, G in groups_of_order(n):
+        auts = automorphism_group(G)
+        assert _lambda_group(auts, n) == tuple(map(flat_permutation, auts))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_flat_relabeling_and_order_match_nested_tuples(n):
+    """Orbit marking relabels and compares flat bytes: it relabels as
+    ``relabel_table`` does, and orders tables as tuple-of-tuples do."""
+    def flat(t):
+        return bytes(chain.from_iterable(t))
+
+    catalog = _build_catalog(n)
+    tables = [A.circle.table for A in catalog.braces]
+    assert sorted(tables, key=flat) == sorted(tables)
+    for A in catalog.braces:
+        relabelings = [(_relabeling(phi), relabel_table(A.circle.table, phi))
+                       for phi in automorphism_group(A.add)]
+        for (take, p), nested in relabelings:
+            assert bytes(take(flat(A.circle.table))).translate(p) == flat(nested)
+        orbit = [nested for _, nested in relabelings]
+        assert flat(min(orbit)) == min(map(flat, orbit))
+        assert sorted(orbit, key=flat) == sorted(orbit)
 
 
 @settings(max_examples=10, deadline=None)

@@ -200,7 +200,7 @@ def test_internal_value_error_exits_4_not_invalid_input(ring_path, monkeypatch, 
     def not_an_ideal(A, I):
         raise ValueError("not an ideal")
 
-    monkeypatch.setattr(invariants, "quotient_brace", not_an_ideal)
+    monkeypatch.setattr(invariants, "_brace_cosets", not_an_ideal)
     assert main(["decompose", ring_path]) == cli.EXIT_INTERNAL_ERROR == 4
     captured = capsys.readouterr()
     assert "internal error: ValueError: not an ideal" in captured.err

@@ -2,7 +2,12 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bracekit.groups
+from bracekit.braces import brace_isomorphic, verify_brace
+from bracekit.catalog import enumerate_braces
 from bracekit.groups import (
     GroupAxiomError,
     _semidirect_group,
@@ -12,14 +17,19 @@ from bracekit.groups import (
     center,
     commutator_subgroup,
     element_orders,
+    extend_hom,
+    flat_permutation,
     group_signature,
     is_abelian,
     normal_closure,
     quotient_group,
+    relabel_table,
     subgroup_closure,
+    sylow_subgroup,
     verify_group_axioms,
 )
 from bracekit.grouptables import (
+    MAX_ORDER,
     alternating4,
     cyclic,
     dicyclic,
@@ -28,7 +38,14 @@ from bracekit.grouptables import (
     groups_of_order,
 )
 
-from conftest import brute_automorphisms, brute_normal_subgroups, brute_subgroups, klein_group, permutation_table
+from conftest import (
+    brute_automorphisms,
+    brute_normal_subgroups,
+    brute_subgroups,
+    klein_group,
+    oracle_extend_hom,
+    permutation_table,
+)
 
 
 def test_verify_c2():
@@ -223,3 +240,63 @@ def test_abelian_invariants_and_signature():
     assert abelian_invariants(dihedral(3)) is None
     assert group_signature(klein_group()) == "C2 x C2"
     assert "nonabelian" in group_signature(dihedral(3))
+
+
+BUILT_IN_GROUPS = [G for n in range(1, MAX_ORDER + 1) for _, G in groups_of_order(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extend_hom_matches_the_worklist_oracle(data):
+    """Images drawn at random (mostly no homomorphism), from an automorphism
+    and from a quotient projection (always one)."""
+    G = data.draw(st.sampled_from(BUILT_IN_GROUPS))
+    gs = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    kind = data.draw(st.sampled_from(["random", "automorphism", "projection"]))
+    if kind == "random":
+        H = data.draw(st.sampled_from(BUILT_IN_GROUPS))
+        images = [data.draw(st.integers(0, H.order - 1)) for _ in gs]
+    elif kind == "automorphism":
+        H, phi = G, data.draw(st.sampled_from(automorphism_group(G)))
+        images = [phi[g] for g in gs]
+    else:
+        H, projection = quotient_group(G, data.draw(st.sampled_from(all_normal_subgroups(G))))
+        images = [projection[g] for g in gs]
+    pairs = list(zip(gs, images))
+    m = extend_hom(G, H, pairs)
+    assert m == oracle_extend_hom(G, H, pairs)
+    if kind != "random":
+        assert m is not None and set(m) == subgroup_closure(G, gs)
+
+
+def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monkeypatch):
+    """On the catalogs of order <= MAX_ORDER, the same automorphism groups
+    and the same first isomorphism found, with either ``extend_hom``: each
+    brace against a relabeled copy and against the next entry."""
+    braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
+    groups = list(dict.fromkeys(G for A in braces for G in (A.add, A.circle)))
+    pairs = []
+    for A, B in zip(braces, braces[1:] + braces[:1]):
+        perm = (0, *range(A.order - 1, 0, -1))
+        copy = verify_brace(relabel_table(A.add.table, perm), relabel_table(A.circle.table, perm))
+        pairs += [(A, copy), (A, B)]
+
+    def run():
+        return ([automorphism_group.__wrapped__(G) for G in groups],
+                [brace_isomorphic(A, B) for A, B in pairs])
+
+    fast = run()
+    monkeypatch.setattr(bracekit.groups, "extend_hom", oracle_extend_hom)
+    assert run() == fast
+    assert all(m is not None for m in fast[1][::2])
+
+
+@pytest.mark.parametrize("n, p, order", [(3, 2, 2), (3, 3, 3), (4, 2, 8), (4, 3, 3), (5, 2, 8), (5, 5, 5)])
+def test_sylow_subgroup_of_a_symmetric_group(n, p, order):
+    """In lexicographic order the first non-identity permutation is a
+    transposition, which the pass must reject for odd p."""
+    perms = [flat_permutation(q) for q in itertools.permutations(range(n))]
+    P = sylow_subgroup(perms, p)
+    assert P[0] == flat_permutation(range(n))
+    assert len(set(P)) == len(P) == order
+    assert {q.translate(r) for r in P for q in P} == set(P)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from bracekit.braces import brace_isomorphic, direct_product, trivial_brace, zero_brace
 from bracekit.catalog import enumerate_braces
 from bracekit.groups import BoundExceededError
-from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
 from bracekit.ideals import (
+    _brace_cosets,
     a2,
     all_ideals,
     annihilator,
@@ -25,6 +26,8 @@ from bracekit.ideals import (
     star_product,
     sub_brace,
 )
+
+from bracekit.invariants import radical_set
 
 from conftest import brute_ideals, klein_group, radical_ring_brace
 
@@ -193,3 +196,17 @@ def test_prime_braces_and_ideals(ring_brace, s3_brace):
         assert not is_prime_ideal(s3_brace, M)
     for M in maximal_ideals(ring_brace):
         assert not is_prime_ideal(ring_brace, M)
+
+
+def test_unchecked_quotient_matches_the_checked_one_on_lattice_ideals():
+    """The internal callers pass ``_brace_cosets`` lattice ideals, A^(2) and
+    Rad(A) unchecked: on the catalogs of order <= MAX_ORDER each of them is
+    an ideal, and the unchecked quotient by every lattice ideal is the
+    checked one."""
+    for n in range(1, MAX_ORDER + 1):
+        for A in enumerate_braces(n, use_disk_cache=False).braces:
+            lattice = all_ideals(A)
+            assert a2(A) in lattice and radical_set(A) in lattice
+            assert set(maximal_ideals(A)) <= set(lattice)
+            for I in lattice:
+                assert _brace_cosets.__wrapped__(A, I) == quotient_brace(A, I)

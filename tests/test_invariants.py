@@ -9,7 +9,8 @@ from bracekit.braces import (
     trivial_brace,
     zero_brace,
 )
-from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.catalog import enumerate_braces
+from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
 from bracekit.ideals import a2, ideal_closure, quotient_brace
 from bracekit.invariants import (
     brace_report,
@@ -36,7 +37,15 @@ from bracekit.invariants import (
     weight,
 )
 
-from conftest import check_omega_products, frattini_comparison, klein_group, oracle_ideal_closure
+from conftest import (
+    ORDER_16_GROUPS,
+    check_omega_products,
+    frattini_comparison,
+    klein_group,
+    oracle_ideal_closure,
+    oracle_schur_embedding,
+    order_16_classes,
+)
 
 
 def test_radical_examples(ring_brace, s3_brace):
@@ -210,3 +219,19 @@ def test_brace_report_payload(ring_brace):
     assert rep["weight"] == 1
     assert rep["is_trivial"] is False
     assert rep["wedderburn_factor_orders"] == [2]
+
+
+@pytest.mark.parametrize("name, count", [("C8xC2", 66), ("C4xC4", 83), ("C4xC2xC2", 161)])
+def test_schur_embedding_passes_on_order_16_classes(name, count):
+    """With additive generators alone, the check failed on two classes of
+    C8xC2, one of C4xC4 and two of C4xC2xC2.  The class counts are those of
+    the search over all of Aut(G)."""
+    classes = order_16_classes(name)
+    assert len(classes) == count
+    assert [schur_embedding(A).status for A in classes] == ["pass"] * count
+
+
+def test_schur_embedding_matches_the_all_elements_oracle():
+    braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
+    braces += [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
+    assert [schur_embedding(A).status for A in braces] == list(map(oracle_schur_embedding, braces))
