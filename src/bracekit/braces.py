@@ -243,17 +243,14 @@ def _element_profile(A: SkewBrace) -> tuple[tuple[int, int], ...]:
     return tuple(zip(add_orders, circ_orders))
 
 
-def _is_brace_morphism_map(A: SkewBrace, B: SkewBrace, perm: Sequence[int]) -> bool:
-    return preserves(perm, A.add.table, B.add.table) and preserves(perm, A.circle.table, B.circle.table)
-
-
 def _brace_maps(A: SkewBrace, B: SkewBrace) -> Iterator[tuple[int, ...]]:
     """Brace isomorphisms A -> B in search order: additive generators of A
     are mapped to elements of B with the same (additive, multiplicative)
-    order pair, and each completed map is verified against both tables."""
+    order pair.  ``search_maps`` yields only additive isomorphisms, so each
+    is checked against the circle tables alone."""
     prof_a, prof_b = _element_profile(A), _element_profile(B)
-    return search_maps(A.add, B.add, lambda g, img: prof_b[img] == prof_a[g],
-                       lambda perm: _is_brace_morphism_map(A, B, perm))
+    maps = search_maps(A.add, B.add, lambda g, img: prof_b[img] == prof_a[g])
+    return (perm for perm in maps if preserves(perm, A.circle.table, B.circle.table))
 
 
 def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
@@ -283,7 +280,7 @@ def brace_automorphism_group(A: SkewBrace) -> tuple[BraceMorphism, ...]:
     """All bijections of A preserving both tables, sorted lexicographically."""
     if A.order > DEFAULT_ORDER_BOUND:
         raise BoundExceededError(f"order {A.order} exceeds the automorphism bound {DEFAULT_ORDER_BOUND}")
-    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(set(_brace_maps(A, A))))
+    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(_brace_maps(A, A)))
 
 
 def semidirect_product(A: SkewBrace, B: SkewBrace,
@@ -308,7 +305,7 @@ def semidirect_product(A: SkewBrace, B: SkewBrace,
     for b, t in enumerate(maps):
         if sorted(t) != list(range(A.order)):
             raise ValueError(f"theta({b}) is not a permutation of A")
-        if not _is_brace_morphism_map(A, A, t):
+        if not (preserves(t, A.add.table, A.add.table) and preserves(t, A.circle.table, A.circle.table)):
             raise ValueError(f"theta({b}) is not a brace automorphism of A")
     for b1 in B.elements():
         for b2 in B.elements():

@@ -1,10 +1,10 @@
 """Exhaustive enumeration of skew braces of small order.
 
-The holomorph method walks, for each additive group G, over all lambda maps
-G -> Aut(G) satisfying the cocycle condition lam_a lam_b = lam_{a + lam_a(b)}
-with a propagating depth-first search.  These assignments are exactly the
-regular subgroups {(x, lam_x)} of the holomorph G ⋊ Aut(G), i.e. the skew
-braces with additive group G.
+The holomorph method finds, for each additive group G, all lambda maps
+G -> Aut(G) satisfying the cocycle condition lam_a lam_b = lam_{a + lam_a(b)}.
+These assignments are exactly the regular subgroups {(x, lam_x)} of the
+holomorph G ⋊ Aut(G), i.e. the skew braces with additive group G, and they
+are searched as homomorphisms closed from seed images by ``extend_hom``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -28,6 +27,7 @@ from .groups import (
     FiniteGroup,
     GroupAxiomError,
     automorphism_group,
+    extend_hom,
     flat_permutation,
     sylow_subgroup,
 )
@@ -48,9 +48,11 @@ class BraceCatalog(NamedTuple):
 
 def _lambda_group(auts: tuple[tuple[int, ...], ...], n: int) -> tuple[bytes, ...]:
     """The automorphisms the λ-search assigns on a group G of order n with
-    automorphism group ``auts``, as ``flat_permutation``s with the identity
-    first: one Sylow p-subgroup P of Aut(G) when n = p^k, and all of Aut(G)
-    otherwise.
+    automorphism group ``auts``, as ``flat_permutation``s: one Sylow
+    p-subgroup P of Aut(G) when n = p^k, and all of Aut(G) otherwise.  The
+    identity comes first (``sylow_subgroup`` puts it there, and
+    ``automorphism_group`` is sorted), as ``_circle_tables_holomorph``
+    needs.
 
     For a brace A on G, λ is a homomorphism from (A,∘), of order p^k, into
     Aut(G), so its image is a p-group and lies in φPφ⁻¹ for some φ in
@@ -66,68 +68,46 @@ def _lambda_group(auts: tuple[tuple[int, ...], ...], n: int) -> tuple[bytes, ...
     return sylow_subgroup(flat, p) if q == n > 1 else flat
 
 
-def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], list[tuple[tuple[int, ...], ...]]]:
-    """Aut(G) and the circle tables compatible with G whose λ lies in
-    ``_lambda_group``, via the lambda-map cocycle search.
+def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], list[bytes]]:
+    """Aut(G) and the circle tables, flat (row-major ``bytes``), compatible
+    with G whose λ lies in ``_lambda_group``.
 
-    λ_0 is the identity.  The search assigns λ_x to the least unassigned x,
-    trying each element of the λ-group in turn, and propagates the cocycle
-    condition: for assigned u and v, c = u + λ_u(v) must get λ_u λ_v.  An
-    element is checked, in both orders, against itself and the elements
-    popped before it, so each pair is checked once; at a fixpoint every
-    assigned pair has been checked, as by a check of every pair at every
-    pop.  The λ-group is a group, so the composites stay in it, and
-    ``comp`` is its composition table, built with ``bytes.translate``.
+    Such a table is a regular subgroup {(x, λ_x)} of the holomorph G ⋊ Aut(G),
+    that is, a map x ↦ λ_x that is a homomorphism for the products
+    x∘s = x + λ_x(s) and λ_{x∘s} = λ_x λ_s.  So the search is
+    ``extend_hom`` in the holomorph, with λ-values as indices into the
+    λ-group and ``comp`` its composition table, built with
+    ``bytes.translate``: the least x not yet in the closure of the seeds
+    gets each index in turn, and the seeds are closed again.  The kernel
+    starts from 0 ↦ 0, and index 0 is the identity, λ_0.  A closure that
+    covers G is a regular subgroup.  Every one is reached, by giving each x
+    its own λ_x: the closures then lie inside it, so no check fails.
+    Distinct leaves differ at their first differing seed, so no table is
+    emitted twice.
     """
     n = G.order
-    table = G.table
     auts = automorphism_group(G)
     lams = _lambda_group(auts, n)
     index = {lam: i for i, lam in enumerate(lams)}
     comp = [[index[q.translate(p)] for q in lams] for p in lams]
-    assign: list[Optional[int]] = [None] * n
-    assign[0] = index[flat_permutation(range(n))]
-    done: list[int] = []  # the popped elements, already checked pairwise
-    out: list[tuple[tuple[int, ...], ...]] = []
+    add_rows = [flat_permutation(row) for row in G.table]
+    out: list[bytes] = []
 
-    def propagate(seed: int, trail: list[int]) -> bool:
-        queue = [seed]
-        while queue:
-            e = queue.pop()
-            done.append(e)
-            i = assign[e]
-            lam_e, row_e, comp_e = lams[i], table[e], comp[i]
-            for a in done:
-                j = assign[a]
-                for c, lam_c in ((row_e[lam_e[a]], comp_e[j]), (table[a][lams[j][e]], comp[j][i])):
-                    known = assign[c]
-                    if known is None:
-                        assign[c] = lam_c
-                        trail.append(c)
-                        queue.append(c)
-                    elif known != lam_c:
-                        return False
-        return True
+    def rows(x: int, i: int) -> tuple[bytes, list[int]]:
+        return lams[i][:n].translate(add_rows[x]), comp[i]
 
-    def search(start: int) -> None:
-        # the elements before start are assigned, and stay so below this call
-        x = next((i for i in range(start, n) if assign[i] is None), None)
+    def search(pairs: list[tuple[int, int]], m: dict[int, int]) -> None:
+        x = next((a for a in range(n) if a not in m), None)
         if x is None:
-            out.append(tuple(tuple(map(table[a].__getitem__, lams[assign[a]][:n]))
-                             for a in range(n)))
+            out.append(b"".join(rows(a, m[a])[0] for a in range(n)))
             return
-        mark = len(done)
-        for cand in range(len(lams)):
-            assign[x] = cand
-            trail = [x]
-            if propagate(x, trail):
-                search(x + 1)
-            for e in trail:
-                assign[e] = None
-            del done[mark:]
+        for i in range(len(lams)):
+            step = pairs + [(x, i)]
+            closed = extend_hom(step, rows)
+            if closed is not None:
+                search(step, closed)
 
-    if propagate(0, []):
-        search(1)
+    search([], {0: 0})
     return auts, out
 
 
@@ -164,8 +144,7 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     relabelings = [_relabeling(phi) for phi in auts]
     seen: set[bytes] = set()
     canon = []
-    for t in tables:
-        flat = bytes(chain.from_iterable(t))
+    for flat in tables:
         if flat not in seen:
             orbit = {bytes(take(flat)).translate(p) for take, p in relabelings}
             seen |= orbit
@@ -281,8 +260,7 @@ def enumerate_braces(n: int, use_disk_cache: bool = True) -> BraceCatalog:
 
 
 def _sweep_row(args: tuple) -> dict:
-    index, group_name, add_table, circle_table, desc_bound = args
-    A = verify_brace(add_table, circle_table)
+    index, group_name, A, desc_bound = args
     row = {"index": index, "additive_name": group_name}
     row.update(brace_report(A, desc_bound))
     row["star_identities"] = check_star_identities(A).status
@@ -296,10 +274,11 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
 
     At most one worker runs per task and per CPU.  Rows are aggregated in
     catalog order regardless of the number of jobs, so the output is
-    byte-stable.
+    byte-stable.  Entries were verified when the catalog was built or
+    loaded, so each row takes its brace as is.
     """
     tasks = [
-        (i, name, A.add.table, A.circle.table, desc_bound)
+        (i, name, A, desc_bound)
         for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

@@ -365,12 +365,15 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def extend_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
-    """Close generator images into a homomorphism from the generated subgroup.
+def extend_hom(pairs: Sequence[tuple[int, int]],
+               rows: Callable[[int, int], tuple[Sequence[int], Sequence[int]]]) -> Optional[dict[int, int]]:
+    """Close seed images into a homomorphism from the generated subgroup.
 
-    ``pairs`` lists (g, image) with g in G and image in H.  The result is
-    the unique homomorphism on the subgroup the g generate that agrees with
-    the pairs, or None when no such homomorphism exists.
+    ``pairs`` lists (g, image).  ``rows(x, fx)`` gives the row of x in the
+    domain's product and the row of fx in the target's: for a map from G to
+    H it is ``(G.table[x], H.table[fx])``.  The result is the unique
+    homomorphism on the subgroup the g generate that takes 0 to 0 and agrees
+    with the pairs, or None when no such homomorphism exists.
 
     This is ``subgroup_closure``'s kernel carrying images: the map f grows
     from 0 -> 0 breadth-first, each reached x multiplied on the right by the
@@ -381,14 +384,14 @@ def extend_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]]) -> 
     the given image.  When every check passes, f(x·y) = f(x)·f(y) follows by
     induction on the length of y as a word in the seeds; when one fails,
     every homomorphism agreeing with the pairs would have to take both
-    values.  Cost: O(|subgroup|·|pairs|) table lookups.
+    values.  Cost: O(|subgroup|·|pairs|) row lookups.
     """
     m: dict[int, int] = {0: 0}
     frontier = [0]
     while frontier:
         grown = []
         for x in frontier:
-            row, image_row = G.table[x], H.table[m[x]]
+            row, image_row = rows(x, m[x])
             for g, img in pairs:
                 z, fz = row[g], image_row[img]
                 known = m.get(z)
@@ -412,35 +415,37 @@ def preserves(perm: Sequence[int], src_table: Sequence[Sequence[int]],
 
 
 def search_maps(G: FiniteGroup, H: FiniteGroup,
-                fits: Callable[[int, int], bool],
-                accept: Callable[[tuple[int, ...]], bool]) -> Iterator[tuple[int, ...]]:
-    """Bijections G -> H found by backtracking over generator images.
+                fits: Callable[[int, int], bool]) -> Iterator[tuple[int, ...]]:
+    """Injective homomorphisms G -> H found by backtracking over generator
+    images.
 
     Walks ``generating_sequence(G)`` in order, trying the images in H in
     increasing index order.  ``fits(g, img)`` prunes: an image is tried only
     if it fits and the images chosen so far still extend to a homomorphism
-    (``extend_hom``).  Each completed extension that is a bijection is
-    passed, as an index permutation, to ``accept``, which verifies it
-    against the full tables; the accepted maps are yielded lazily, in search
-    order.  The order-1 group has an empty generating sequence and yields
-    the single map (0,) if accepted.
+    (``extend_hom``).  At a leaf the map is a homomorphism on the subgroup
+    the whole sequence generates, which is G, so it needs no check against
+    the full tables; the injective ones are yielded lazily, in search order,
+    as index permutations.  Distinct leaves give distinct generator images,
+    so no map is yielded twice.  The order-1 group has an empty generating
+    sequence and yields the single map (0,).
     """
     gens = generating_sequence(G)
     n = G.order
 
+    def rows(x: int, fx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return G.table[x], H.table[fx]
+
     def search(i: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> Iterator[tuple[int, ...]]:
         if i == len(gens):
-            if len(m) == n and len(set(m.values())) == n:
-                perm = tuple(m[a] for a in range(n))
-                if accept(perm):
-                    yield perm
+            if len(set(m.values())) == n:
+                yield tuple(m[a] for a in range(n))
             return
         g = gens[i]
         for img in H.elements():
             if not fits(g, img):
                 continue
             step = pairs + [(g, img)]
-            extended = extend_hom(G, H, step)
+            extended = extend_hom(step, rows)
             if extended is not None:
                 yield from search(i + 1, step, extended)
 
@@ -449,17 +454,13 @@ def search_maps(G: FiniteGroup, H: FiniteGroup,
 
 @lru_cache(maxsize=None)
 def automorphism_group(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All automorphisms as index permutations, found by mapping a generating set.
-
-    Candidate images are pruned by element order; each completed map is
-    verified against the full table.  Output is sorted lexicographically.
-    """
+    """All automorphisms as index permutations, found by mapping a generating
+    set with images pruned by element order (``search_maps``).  Output is
+    sorted lexicographically."""
     if G.order > DEFAULT_ORDER_BOUND:
         raise BoundExceededError(f"order {G.order} exceeds the automorphism bound {DEFAULT_ORDER_BOUND}")
     orders = element_orders(G)
-    return tuple(sorted(set(search_maps(
-        G, G, lambda g, img: orders[img] == orders[g],
-        lambda perm: preserves(perm, G.table, G.table)))))
+    return tuple(sorted(search_maps(G, G, lambda g, img: orders[img] == orders[g])))
 
 
 _IDENTITY_TABLE = bytes(range(256))

@@ -314,9 +314,11 @@ def oracle_non_generators(A: SkewBrace) -> frozenset[int]:
     return frozenset(out)
 
 
-def oracle_extend_hom(G: FiniteGroup, H: FiniteGroup, pairs) -> Optional[dict[int, int]]:
+def oracle_extend_hom(pairs, rows) -> Optional[dict[int, int]]:
     """Worklist closure of 0 -> 0 plus the pairs under products with every
-    mapped element, in both orders; None on a clash."""
+    mapped element, in both orders; None on a clash.  ``rows`` is the rule
+    of ``extend_hom``: its rows are full rows, so ``rows(x, fx)[0][y]`` is
+    x·y and ``rows(x, fx)[1][fy]`` is fx·fy."""
     m: dict[int, int] = {0: 0}
     work: list[int] = []
     for g, img in pairs:
@@ -330,8 +332,9 @@ def oracle_extend_hom(G: FiniteGroup, H: FiniteGroup, pairs) -> Optional[dict[in
         x = work.pop()
         for y in list(m):
             for a, b in ((x, y), (y, x)):
-                z = G.table[a][b]
-                mz = H.table[m[a]][m[b]]
+                row, image_row = rows(a, m[a])
+                z = row[b]
+                mz = image_row[m[b]]
                 if z in m:
                     if m[z] != mz:
                         return None

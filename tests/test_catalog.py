@@ -55,7 +55,7 @@ def test_orbit_marking_matches_the_canonical_form_oracle(n):
     catalog = _build_catalog(n)
     for name, G in groups_of_order(n):
         entries = [A.circle.table for g, A in zip(catalog.additive_names, catalog.braces) if g == name]
-        _, tables = _circle_tables_holomorph(G)
+        tables = [tuple(tuple(t[i:i + n]) for i in range(0, n * n, n)) for t in _circle_tables_holomorph(G)[1]]
         assert entries == sorted({oracle_canonical_circle(G, t) for t in tables})
         assert all(oracle_canonical_circle(G, t) == t for t in entries)
 
@@ -100,6 +100,13 @@ def test_lambda_group_is_a_sylow_subgroup_of_aut(name, G, n):
     assert len(set(P)) == len(P) == _p_part(len(auts), p)
     assert set(P) <= auts
     assert {q.translate(r) for r in P for q in P} == set(P)
+
+
+def test_lambda_group_starts_with_the_identity():
+    """The λ-search closes from 0 ↦ index 0, which must be λ_0 = id."""
+    for n in range(1, MAX_ORDER + 1):
+        for _, G in groups_of_order(n):
+            assert _lambda_group(automorphism_group(G), n)[0] == flat_permutation(range(n))
 
 
 @pytest.mark.parametrize("n", (1, 6, 10, 12))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracekit.catalog
 import bracekit.groups
-from bracekit.braces import brace_isomorphic, verify_brace
-from bracekit.catalog import enumerate_braces
+from bracekit.braces import brace_automorphism_group, brace_isomorphic, verify_brace
+from bracekit.catalog import _circle_tables_holomorph, enumerate_braces
 from bracekit.groups import (
     GroupAxiomError,
     _semidirect_group,
@@ -22,6 +23,7 @@ from bracekit.groups import (
     group_signature,
     is_abelian,
     normal_closure,
+    preserves,
     quotient_group,
     relabel_table,
     subgroup_closure,
@@ -39,6 +41,7 @@ from bracekit.grouptables import (
 )
 
 from conftest import (
+    ORDER_16_GROUPS,
     brute_automorphisms,
     brute_normal_subgroups,
     brute_subgroups,
@@ -263,16 +266,21 @@ def test_extend_hom_matches_the_worklist_oracle(data):
         H, projection = quotient_group(G, data.draw(st.sampled_from(all_normal_subgroups(G))))
         images = [projection[g] for g in gs]
     pairs = list(zip(gs, images))
-    m = extend_hom(G, H, pairs)
-    assert m == oracle_extend_hom(G, H, pairs)
+
+    def rows(x, fx):
+        return G.table[x], H.table[fx]
+    m = extend_hom(pairs, rows)
+    assert m == oracle_extend_hom(pairs, rows)
     if kind != "random":
         assert m is not None and set(m) == subgroup_closure(G, gs)
 
 
 def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monkeypatch):
-    """On the catalogs of order <= MAX_ORDER, the same automorphism groups
-    and the same first isomorphism found, with either ``extend_hom``: each
-    brace against a relabeled copy and against the next entry."""
+    """On the catalogs of order <= MAX_ORDER, the same automorphism groups,
+    the same first isomorphism found and the same λ-search tables, in the
+    same order, with either kernel: each brace against a relabeled copy and
+    against the next entry, and the λ-search on every group of the
+    catalogs."""
     braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
     groups = list(dict.fromkeys(G for A in braces for G in (A.add, A.circle)))
     pairs = []
@@ -283,12 +291,37 @@ def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monke
 
     def run():
         return ([automorphism_group.__wrapped__(G) for G in groups],
-                [brace_isomorphic(A, B) for A, B in pairs])
+                [brace_isomorphic(A, B) for A, B in pairs],
+                [_circle_tables_holomorph(G) for G in BUILT_IN_GROUPS])
 
     fast = run()
     monkeypatch.setattr(bracekit.groups, "extend_hom", oracle_extend_hom)
+    monkeypatch.setattr(bracekit.catalog, "extend_hom", oracle_extend_hom)
     assert run() == fast
     assert all(m is not None for m in fast[1][::2])
+
+
+AUTOMORPHISM_ORACLE_GROUPS = [(name, G) for n in range(1, MAX_ORDER + 1) for name, G in groups_of_order(n)] + \
+    [(name, build()) for name, build in ORDER_16_GROUPS.items()]
+
+
+@pytest.mark.parametrize("name, G", AUTOMORPHISM_ORACLE_GROUPS, ids=[name for name, _ in AUTOMORPHISM_ORACLE_GROUPS])
+def test_automorphisms_preserve_the_full_table(name, G):
+    """``automorphism_group`` trusts ``extend_hom``; the full-table check it
+    no longer runs is the oracle."""
+    auts = automorphism_group(G)
+    assert auts and all(preserves(phi, G.table, G.table) for phi in auts)
+    assert len(set(auts)) == len(auts)
+
+
+def test_brace_automorphisms_preserve_both_tables():
+    """``brace_automorphism_group`` checks only the circle table; each map
+    preserves the additive one too."""
+    for n in range(1, MAX_ORDER + 1):
+        for A in enumerate_braces(n, use_disk_cache=False).braces:
+            for phi in brace_automorphism_group(A):
+                assert preserves(phi.mapping, A.add.table, A.add.table)
+                assert preserves(phi.mapping, A.circle.table, A.circle.table)
 
 
 @pytest.mark.parametrize("n, p, order", [(3, 2, 2), (3, 3, 3), (4, 2, 8), (4, 3, 3), (5, 2, 8), (5, 5, 5)])
