@@ -4,7 +4,7 @@ The holomorph method finds, for each additive group G, all lambda maps
 G -> Aut(G) satisfying the cocycle condition lam_a lam_b = lam_{a + lam_a(b)}.
 These assignments are exactly the regular subgroups {(x, lam_x)} of the
 holomorph G ⋊ Aut(G), i.e. the skew braces with additive group G, and they
-are searched as homomorphisms closed from seed images by ``extend_hom``.
+are searched as homomorphisms closed from seed images by ``search_homs``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .groups import (
     FiniteGroup,
     GroupAxiomError,
     automorphism_group,
-    extend_hom,
     flat_permutation,
+    search_homs,
     sylow_subgroup,
 )
 from .grouptables import MAX_ORDER, groups_of_order
-from .invariants import brace_report, theorem_checks
+from .invariants import NON_GENERATOR_BOUND, brace_report, theorem_checks
 
 METHOD = "holomorph"
 
@@ -75,15 +75,12 @@ def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...
     Such a table is a regular subgroup {(x, λ_x)} of the holomorph G ⋊ Aut(G),
     that is, a map x ↦ λ_x that is a homomorphism for the products
     x∘s = x + λ_x(s) and λ_{x∘s} = λ_x λ_s.  So the search is
-    ``extend_hom`` in the holomorph, with λ-values as indices into the
+    ``search_homs`` in the holomorph, with λ-values as indices into the
     λ-group and ``comp`` its composition table, built with
-    ``bytes.translate``: the least x not yet in the closure of the seeds
-    gets each index in turn, and the seeds are closed again.  The kernel
+    ``bytes.translate``; every index is tried for each seed.  The kernel
     starts from 0 ↦ 0, and index 0 is the identity, λ_0.  A closure that
     covers G is a regular subgroup.  Every one is reached, by giving each x
     its own λ_x: the closures then lie inside it, so no check fails.
-    Distinct leaves differ at their first differing seed, so no table is
-    emitted twice.
     """
     n = G.order
     auts = automorphism_group(G)
@@ -91,24 +88,12 @@ def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...
     index = {lam: i for i, lam in enumerate(lams)}
     comp = [[index[q.translate(p)] for q in lams] for p in lams]
     add_rows = [flat_permutation(row) for row in G.table]
-    out: list[bytes] = []
 
     def rows(x: int, i: int) -> tuple[bytes, list[int]]:
         return lams[i][:n].translate(add_rows[x]), comp[i]
 
-    def search(pairs: list[tuple[int, int]], m: dict[int, int]) -> None:
-        x = next((a for a in range(n) if a not in m), None)
-        if x is None:
-            out.append(b"".join(rows(a, m[a])[0] for a in range(n)))
-            return
-        for i in range(len(lams)):
-            step = pairs + [(x, i)]
-            closed = extend_hom(step, rows)
-            if closed is not None:
-                search(step, closed)
-
-    search([], {0: 0})
-    return auts, out
+    return auts, [b"".join(rows(a, m[a])[0] for a in range(n))
+                  for m in search_homs(n, rows, lambda x: range(len(lams)))]
 
 
 def _relabeling(phi: tuple[int, ...]):
@@ -269,7 +254,7 @@ def _sweep_row(args: tuple) -> dict:
 
 
 def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
-                            desc_bound: int = 8) -> dict:
+                            desc_bound: int = NON_GENERATOR_BOUND) -> dict:
     """Run the invariant report and all theorem checks on every catalog entry.
 
     At most one worker runs per task and per CPU.  Rows are aggregated in

@@ -42,7 +42,14 @@ from .ideals import (
     maximal_ideals,
     socle,
 )
-from .invariants import brace_report, radical, theorem_checks, weight, wedderburn_decompose
+from .invariants import (
+    NON_GENERATOR_BOUND,
+    brace_report,
+    radical,
+    theorem_checks,
+    weight,
+    wedderburn_decompose,
+)
 from .ybe import (
     SetSolution,
     check_solution,
@@ -149,7 +156,7 @@ def _cmd_radical(args) -> int:
 
 def _cmd_weight(args) -> int:
     A = load_brace(args.brace)
-    cert = weight(A, use_radical_opt=not args.no_opt)
+    cert = weight(A)
     print(f"weight = {cert.weight}")
     print(f"generating set: {sorted(cert.generating_set)}")
     return EXIT_OK
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full invariant report for a brace")
     p.add_argument("brace")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--desc-bound", type=int, default=8)
+    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("ideals", help="print the ideal lattice")
@@ -334,13 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radical", help="radical report")
     p.add_argument("brace")
-    p.add_argument("--desc-bound", type=int, default=8)
+    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
     p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("weight", help="weight with certificate")
     p.add_argument("brace")
-    p.add_argument("--no-opt", action="store_true",
-                   help="search directly instead of in A/Rad(A)")
     p.set_defaults(func=_cmd_weight)
 
     p = sub.add_parser("decompose", help="Wedderburn-type decomposition of A/Rad(A)")
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theoremcheck", help="run all theorem checks")
     p.add_argument("target", help="brace JSON path or corpus:<order>")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--desc-bound", type=int, default=8)
+    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
     p.set_defaults(func=_cmd_theoremcheck)
 
     p = sub.add_parser("enumerate", help="enumerate all braces of one order")
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (at least 1; at most one per CPU)")
-    p.add_argument("--desc-bound", type=int, default=8)
+    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
     p.add_argument("--out", help="write the JSON payload to a file")
     p.set_defaults(func=_cmd_sweep)
 

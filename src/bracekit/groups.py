@@ -365,34 +365,39 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def extend_hom(pairs: Sequence[tuple[int, int]],
+def extend_hom(m: dict[int, int], pairs: Sequence[tuple[int, int]],
                rows: Callable[[int, int], tuple[Sequence[int], Sequence[int]]]) -> Optional[dict[int, int]]:
-    """Close seed images into a homomorphism from the generated subgroup.
+    """Close seed images into a homomorphism from the generated subgroup,
+    resuming from ``m``, the closure of ``pairs[:-1]`` ({0: 0} for one pair).
 
     ``pairs`` lists (g, image).  ``rows(x, fx)`` gives the row of x in the
     domain's product and the row of fx in the target's: for a map from G to
-    H it is ``(G.table[x], H.table[fx])``.  The result is the unique
-    homomorphism on the subgroup the g generate that takes 0 to 0 and agrees
-    with the pairs, or None when no such homomorphism exists.
+    H it is ``(G.table[x], H.table[fx])``.  The result, a new dict, is the
+    unique homomorphism on the subgroup the g generate that takes 0 to 0 and
+    agrees with the pairs, or None when no such homomorphism exists.
 
-    This is ``subgroup_closure``'s kernel carrying images: the map f grows
-    from 0 -> 0 breadth-first, each reached x multiplied on the right by the
-    seeds g only, and f(x·g) = f(x)·image(g) is set on first reach and
-    checked on every later one.  So the domain is closed under right
-    multiplication by the seeds, which makes it the generated subgroup
-    (inverses are positive powers in a finite group), and f(g) = f(0·g) is
-    the given image.  When every check passes, f(x·y) = f(x)·f(y) follows by
-    induction on the length of y as a word in the seeds; when one fails,
-    every homomorphism agreeing with the pairs would have to take both
-    values.  Cost: O(|subgroup|·|pairs|) row lookups.
+    This is ``subgroup_closure``'s kernel carrying images: f(x·g) =
+    f(x)·image(g) is set on first reach and checked on every later one.  The
+    first round multiplies each x in H = dom(m) by the new seed only, later
+    rounds each newly reached x by every seed.  So the domain contains H and
+    is closed under right multiplication by every seed (for x in H and an
+    old seed, x·g is in H and was checked when m was closed), which makes it
+    the generated subgroup (inverses are positive powers in a finite group),
+    and f(g) = f(0·g) is the given image.  When every check passes,
+    f(x·y) = f(x)·f(y) follows by induction on the length of y as a word in
+    the seeds; when one fails, every homomorphism agreeing with the pairs
+    would have to take both values.  So None comes back exactly when the
+    closure of all pairs from 0 -> 0 gives None, also when the new g is
+    already in H.  Cost: O(|H| + |new elements|·|pairs|) row lookups.
     """
-    m: dict[int, int] = {0: 0}
-    frontier = [0]
+    m = dict(m)
+    frontier = list(m)
+    seeds = pairs[-1:]
     while frontier:
         grown = []
         for x in frontier:
             row, image_row = rows(x, m[x])
-            for g, img in pairs:
+            for g, img in seeds:
                 z, fz = row[g], image_row[img]
                 known = m.get(z)
                 if known is None:
@@ -400,8 +405,38 @@ def extend_hom(pairs: Sequence[tuple[int, int]],
                     grown.append(z)
                 elif known != fz:
                     return None
-        frontier = grown
+        frontier, seeds = grown, pairs
     return m
+
+
+def search_homs(n: int, rows: Callable[[int, int], tuple[Sequence[int], Sequence[int]]],
+                images: Callable[[int], Iterable[int]]) -> Iterator[dict[int, int]]:
+    """Every homomorphism from a group of order n, as a dict on 0..n-1, found
+    by backtracking over seed images; ``rows`` is the product rule of
+    ``extend_hom``.
+
+    At each node the least x outside the closure of the seeds so far gets
+    each image in ``images(x)`` in turn, and ``extend_hom`` resumes the
+    node's closure with the new seed; a closure that covers 0..n-1 is a
+    leaf, yielded lazily in search order.  The seeds are then the greedy,
+    increasing-index ``generating_sequence`` of the domain: each is the
+    least element outside the subgroup its predecessors generate.  A leaf
+    is a homomorphism on the subgroup the seeds generate, which is the whole
+    group, so it needs no check against full tables.  Distinct leaves differ
+    at their first differing seed image, so none is yielded twice.
+    """
+    def search(pairs: list[tuple[int, int]], m: dict[int, int]) -> Iterator[dict[int, int]]:
+        x = next((a for a in range(n) if a not in m), None)
+        if x is None:
+            yield m
+            return
+        for img in images(x):
+            step = pairs + [(x, img)]
+            closed = extend_hom(m, step, rows)
+            if closed is not None:
+                yield from search(step, closed)
+
+    return search([], {0: 0})
 
 
 def preserves(perm: Sequence[int], src_table: Sequence[Sequence[int]],
@@ -416,40 +451,14 @@ def preserves(perm: Sequence[int], src_table: Sequence[Sequence[int]],
 
 def search_maps(G: FiniteGroup, H: FiniteGroup,
                 fits: Callable[[int, int], bool]) -> Iterator[tuple[int, ...]]:
-    """Injective homomorphisms G -> H found by backtracking over generator
-    images.
-
-    Walks ``generating_sequence(G)`` in order, trying the images in H in
-    increasing index order.  ``fits(g, img)`` prunes: an image is tried only
-    if it fits and the images chosen so far still extend to a homomorphism
-    (``extend_hom``).  At a leaf the map is a homomorphism on the subgroup
-    the whole sequence generates, which is G, so it needs no check against
-    the full tables; the injective ones are yielded lazily, in search order,
-    as index permutations.  Distinct leaves give distinct generator images,
-    so no map is yielded twice.  The order-1 group has an empty generating
-    sequence and yields the single map (0,).
-    """
-    gens = generating_sequence(G)
+    """Injective homomorphisms G -> H, as index permutations in search order:
+    the leaves of ``search_homs`` whose images are distinct, where x may go
+    to img in H, tried in increasing index order, when ``fits(x, img)``.
+    The order-1 group yields the single map (0,)."""
     n = G.order
-
-    def rows(x: int, fx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return G.table[x], H.table[fx]
-
-    def search(i: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        if i == len(gens):
-            if len(set(m.values())) == n:
-                yield tuple(m[a] for a in range(n))
-            return
-        g = gens[i]
-        for img in H.elements():
-            if not fits(g, img):
-                continue
-            step = pairs + [(g, img)]
-            extended = extend_hom(step, rows)
-            if extended is not None:
-                yield from search(i + 1, step, extended)
-
-    return search(0, [], {0: 0})
+    leaves = search_homs(n, lambda x, fx: (G.table[x], H.table[fx]),
+                         lambda x: (img for img in H.elements() if fits(x, img)))
+    return (tuple(map(m.__getitem__, range(n))) for m in leaves if len(set(m.values())) == n)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from .braces import SkewBrace, _brace_of
 from .groups import (
-    BoundExceededError,
     _cosets,
     _group_of,
     all_normal_subgroups,
@@ -24,8 +23,6 @@ from .groups import (
     is_subgroup,
     subgroup_closure,
 )
-
-IDEAL_LATTICE_BOUND = 16
 
 
 def is_left_ideal(A: SkewBrace, S: frozenset[int]) -> tuple[bool, Optional[tuple]]:
@@ -62,8 +59,9 @@ def ideal_closure(A: SkewBrace, seed: Iterable[int]) -> frozenset[int]:
     The lattice contains A, is closed under intersection and is sorted by
     size.  So the intersection of the ideals containing the seed, which is
     the least such ideal, is in the lattice; every other ideal containing
-    the seed contains it and is larger, so it comes first.  Above the
-    lattice bound this raises ``BoundExceededError``, as ``all_ideals`` does.
+    the seed contains it and is larger, so it comes first.  Above
+    ``groups.DEFAULT_ORDER_BOUND`` this raises ``BoundExceededError``, from
+    ``all_normal_subgroups`` under ``all_ideals``.
     """
     seed = frozenset(seed)
     return next(I for I in all_ideals(A) if seed <= I)
@@ -186,8 +184,6 @@ def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
     i*a = -i + i∘a - a = -i + a∘i' - a with i' = ā∘i∘a ∈ I, and
     a∘i' = a + λ_a(i'); so i*a = -i + (a + λ_a(i') - a) ∈ I.
     """
-    if A.order > IDEAL_LATTICE_BOUND:
-        raise BoundExceededError(f"order {A.order} exceeds the ideal-lattice bound {IDEAL_LATTICE_BOUND}")
     circ, circ_inv = A.circle.table, A.circle.inverse
     gens = [(A.lam[g], circ[g], circ_inv[g]) for g in generating_sequence(A.circle)]
     return tuple(N for N in all_normal_subgroups(A.add)

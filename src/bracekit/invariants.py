@@ -167,16 +167,14 @@ def _subset_search(A: SkewBrace) -> WeightCertificate:
 
 
 @lru_cache(maxsize=None)
-def weight(A: SkewBrace, use_radical_opt: bool = True) -> WeightCertificate:
+def weight(A: SkewBrace) -> WeightCertificate:
     """Minimal number of elements generating A as an ideal (1 for the zero brace).
 
-    With the optimization on, the search runs in A/Rad(A) and lifts the
-    certificate back, re-verifying the lifted set in A.
+    The search runs in A/Rad(A) and lifts the certificate back, re-verifying
+    the lifted set in A.
     """
     if A.order == 1:
         return WeightCertificate(1, frozenset({0}), exhaustive=True)
-    if not use_radical_opt:
-        return _subset_search(A)
     R = radical_set(A)
     if R == frozenset({0}):
         return _subset_search(A)

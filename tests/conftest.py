@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
@@ -26,6 +26,7 @@ from bracekit.groups import (
     all_normal_subgroups,
     automorphism_group,
     conjugacy_classes,
+    generating_sequence,
     relabel_table,
     subgroup_closure,
     verify_group_axioms,
@@ -342,6 +343,34 @@ def oracle_extend_hom(pairs, rows) -> Optional[dict[int, int]]:
                     m[z] = mz
                     work.append(z)
     return m
+
+
+def oracle_search_maps(G: FiniteGroup, H: FiniteGroup, fits) -> Iterator[tuple[int, ...]]:
+    """Injective homomorphisms G -> H in search order, by the walk that
+    ``search_maps`` replaced: the seeds are ``generating_sequence(G)``, and
+    every level closes all its pairs again from 0 -> 0 with
+    ``oracle_extend_hom``."""
+    gens = generating_sequence(G)
+    n = G.order
+
+    def rows(x, fx):
+        return G.table[x], H.table[fx]
+
+    def search(i, pairs, m):
+        if i == len(gens):
+            if len(set(m.values())) == n:
+                yield tuple(m[a] for a in range(n))
+            return
+        g = gens[i]
+        for img in H.elements():
+            if not fits(g, img):
+                continue
+            step = pairs + [(g, img)]
+            extended = oracle_extend_hom(step, rows)
+            if extended is not None:
+                yield from search(i + 1, step, extended)
+
+    return search(0, [], {0: 0})
 
 
 def oracle_circle_tables_holomorph(G: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:

@@ -107,8 +107,6 @@ def test_weight_command(tmp_path, capsys):
     save_brace(trivial_brace(G), path)
     assert main(["weight", str(path)]) == 0
     assert "weight = 3" in capsys.readouterr().out
-    assert main(["weight", str(path), "--no-opt"]) == 0
-    assert "weight = 3" in capsys.readouterr().out
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bracekit.catalog
+import bracekit.braces
 import bracekit.groups
 from bracekit.braces import brace_automorphism_group, brace_isomorphic, verify_brace
 from bracekit.catalog import _circle_tables_holomorph, enumerate_braces
@@ -26,6 +26,7 @@ from bracekit.groups import (
     preserves,
     quotient_group,
     relabel_table,
+    search_maps,
     subgroup_closure,
     sylow_subgroup,
     verify_group_axioms,
@@ -47,6 +48,7 @@ from conftest import (
     brute_subgroups,
     klein_group,
     oracle_extend_hom,
+    oracle_search_maps,
     permutation_table,
 )
 
@@ -252,7 +254,9 @@ BUILT_IN_GROUPS = [G for n in range(1, MAX_ORDER + 1) for _, G in groups_of_orde
 @given(st.data())
 def test_extend_hom_matches_the_worklist_oracle(data):
     """Images drawn at random (mostly no homomorphism), from an automorphism
-    and from a quotient projection (always one)."""
+    and from a quotient projection (always one), folded in one at a time
+    from {0: 0}: each resumed closure equals the worklist closure of its
+    prefix, up to the first None."""
     G = data.draw(st.sampled_from(BUILT_IN_GROUPS))
     gs = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
     kind = data.draw(st.sampled_from(["random", "automorphism", "projection"]))
@@ -269,25 +273,36 @@ def test_extend_hom_matches_the_worklist_oracle(data):
 
     def rows(x, fx):
         return G.table[x], H.table[fx]
-    m = extend_hom(pairs, rows)
-    assert m == oracle_extend_hom(pairs, rows)
+    m = {0: 0}
+    for k in range(1, len(pairs) + 1):
+        m = extend_hom(m, pairs[:k], rows)
+        assert m == oracle_extend_hom(pairs[:k], rows)
+        if m is None:
+            break
     if kind != "random":
         assert m is not None and set(m) == subgroup_closure(G, gs)
 
 
-def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monkeypatch):
-    """On the catalogs of order <= MAX_ORDER, the same automorphism groups,
-    the same first isomorphism found and the same λ-search tables, in the
-    same order, with either kernel: each brace against a relabeled copy and
-    against the next entry, and the λ-search on every group of the
-    catalogs."""
+def catalog_pairs():
+    """Each brace of the catalogs of order <= MAX_ORDER against a relabeled
+    copy (an isomorphic pair) and against the next entry."""
     braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
-    groups = list(dict.fromkeys(G for A in braces for G in (A.add, A.circle)))
     pairs = []
     for A, B in zip(braces, braces[1:] + braces[:1]):
         perm = (0, *range(A.order - 1, 0, -1))
         copy = verify_brace(relabel_table(A.add.table, perm), relabel_table(A.circle.table, perm))
         pairs += [(A, copy), (A, B)]
+    return pairs
+
+
+def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monkeypatch):
+    """On the catalogs of order <= MAX_ORDER, the same automorphism groups,
+    the same first isomorphism found and the same λ-search tables, in the
+    same order, when every resumed closure of the search driver is replaced
+    by the worklist closure of all its pairs from 0 -> 0: on the pairs of
+    ``catalog_pairs``, and the λ-search on every group of the catalogs."""
+    pairs = catalog_pairs()
+    groups = list(dict.fromkeys(G for A, _ in pairs for G in (A.add, A.circle)))
 
     def run():
         return ([automorphism_group.__wrapped__(G) for G in groups],
@@ -295,8 +310,7 @@ def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monke
                 [_circle_tables_holomorph(G) for G in BUILT_IN_GROUPS])
 
     fast = run()
-    monkeypatch.setattr(bracekit.groups, "extend_hom", oracle_extend_hom)
-    monkeypatch.setattr(bracekit.catalog, "extend_hom", oracle_extend_hom)
+    monkeypatch.setattr(bracekit.groups, "extend_hom", lambda m, pairs, rows: oracle_extend_hom(pairs, rows))
     assert run() == fast
     assert all(m is not None for m in fast[1][::2])
 
@@ -312,6 +326,25 @@ def test_automorphisms_preserve_the_full_table(name, G):
     auts = automorphism_group(G)
     assert auts and all(preserves(phi, G.table, G.table) for phi in auts)
     assert len(set(auts)) == len(auts)
+
+
+@pytest.mark.parametrize("name, G", AUTOMORPHISM_ORACLE_GROUPS, ids=[name for name, _ in AUTOMORPHISM_ORACLE_GROUPS])
+def test_search_maps_matches_the_restarting_oracle(name, G):
+    """The search driver's least-uncovered-x walk, resuming each closure,
+    finds the automorphisms in the order of the walk over
+    ``generating_sequence`` that closes every level from 0 -> 0."""
+    orders = element_orders(G)
+
+    def fits(g, img):
+        return orders[img] == orders[g]
+    assert list(search_maps(G, G, fits)) == list(oracle_search_maps(G, G, fits))
+
+
+def test_brace_isomorphic_finds_the_restarting_oracle_first(monkeypatch):
+    pairs = catalog_pairs()
+    fast = [brace_isomorphic(A, B) for A, B in pairs]
+    monkeypatch.setattr(bracekit.braces, "search_maps", oracle_search_maps)
+    assert [brace_isomorphic(A, B) for A, B in pairs] == fast
 
 
 def test_brace_automorphisms_preserve_both_tables():
