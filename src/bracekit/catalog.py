@@ -14,7 +14,7 @@ import os
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .braces import (
@@ -244,8 +244,7 @@ def enumerate_braces(n: int, use_disk_cache: bool = True) -> BraceCatalog:
     return catalog
 
 
-def _sweep_row(args: tuple) -> dict:
-    index, group_name, A, desc_bound = args
+def _sweep_row(index: int, group_name: str, A: SkewBrace, desc_bound: int) -> dict:
     row = {"index": index, "additive_name": group_name}
     row.update(brace_report(A, desc_bound))
     row["star_identities"] = check_star_identities(A).status
@@ -253,29 +252,102 @@ def _sweep_row(args: tuple) -> dict:
     return row
 
 
+def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
+    """The body of a forked sweep worker: write the rows of ``tasks``, or the
+    exception one of them raised, to the pipe ``w`` as one pickled message,
+    then end the process.  It never returns into the caller, so it never
+    flushes the parent's stdio buffers or runs its ``atexit`` handlers; any
+    failure to send ends it with status 1."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:  # the parent's read ends: closing one must fail its writer
+            os.close(fd)
+        try:
+            message = (True, [_sweep_row(*t) for t in tasks])
+        except Exception as exc:
+            message = (False, exc)
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_rows(tasks: list, workers: int) -> list[dict]:
+    """The rows of ``tasks`` in order, cut into ``workers`` contiguous
+    slices: slices 1, 2, … each in a forked child, slice 0 here."""
+    import pickle  # only a parallel sweep needs it
+
+    cut = [k * len(tasks) // workers for k in range(workers + 1)]
+    pids: list[int] = []
+    reads: list[int] = []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _sweep_child(tasks[cut[k]:cut[k + 1]], reads, w)
+            finally:
+                # Before the next fork: a later child holding this write end
+                # would keep the read below from ever seeing EOF.
+                os.close(w)
+            pids.append(pid)
+        rows = [_sweep_row(*t) for t in tasks[:cut[1]]]
+        for r in reads:
+            with open(r, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            _, status = os.waitpid(pids.pop(0), 0)
+            if status or not message:
+                raise RuntimeError(f"a sweep worker ended with wait status {status} "
+                                   f"after sending {len(message)} bytes")
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise value
+            rows += value
+        return rows
+    finally:
+        # Close the read ends first: a child blocked writing into a full
+        # pipe then fails and exits, where waiting for it first would hang.
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
                             desc_bound: int = NON_GENERATOR_BOUND) -> dict:
     """Run the invariant report and all theorem checks on every catalog entry.
 
-    At most one worker runs per task and per CPU.  Rows are aggregated in
-    catalog order regardless of the number of jobs, so the output is
-    byte-stable.  Entries were verified when the catalog was built or
-    loaded, so each row takes its brace as is.
+    At most one worker runs per entry and per CPU, and only where
+    ``os.fork`` exists; without it (Windows) the sweep runs serially.
+    Worker k takes the k-th of ``workers`` contiguous slices of the
+    entries, so the entries of one additive group, and that group's memos,
+    mostly stay in one process.  Workers 1, 2, … are forked after the
+    catalog is loaded: they inherit it, its verified groups and every memo,
+    so nothing is sent to them, and each sends its rows back as one
+    pickled message over a pipe.  The caller computes slice 0 itself and
+    joins the slices in catalog order.  Each row depends only on its
+    entry, so the rows, and the output bytes, are the same for every
+    ``jobs``.  A worker's exception is re-raised as is; a worker that exits
+    non-zero or sends nothing raises ``RuntimeError``.  Every worker has
+    been reaped when this returns or raises.  As with any fork, a caller
+    that runs other threads should pass ``jobs=1``.  Entries were verified
+    when the catalog was built or loaded, so each row takes its brace as
+    is.
     """
     tasks = [
         (i, name, A, desc_bound)
         for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        # Imported here: loading the pool machinery costs every CLI start
-        # ~15 ms, and only a parallel sweep needs it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+        rows = _forked_rows(tasks, workers)
     else:
-        rows = [_sweep_row(t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])
+        rows = [_sweep_row(*t) for t in tasks]
 
     aggregate: dict[str, dict[str, int]] = {}
     for row in rows:

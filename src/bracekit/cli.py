@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="invariant sweep over a whole order")
     p.add_argument("order", type=int)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (at least 1; at most one per CPU)")
+                   help="worker processes (at least 1; at most one per CPU); "
+                        "serial where os.fork does not exist, as on Windows")
     p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
     p.add_argument("--out", help="write the JSON payload to a file")
     p.set_defaults(func=_cmd_sweep)

@@ -1,6 +1,7 @@
-import concurrent.futures
 import json
 import os
+import signal
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracekit.catalog
 from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
@@ -20,7 +22,12 @@ from bracekit.catalog import (
 )
 from bracekit.cli import main
 from bracekit.formats import dumps
-from bracekit.groups import automorphism_group, flat_permutation, relabel_table
+from bracekit.groups import (
+    BoundExceededError,
+    automorphism_group,
+    flat_permutation,
+    relabel_table,
+)
 from bracekit.grouptables import MAX_ORDER, cyclic, direct_product_group, groups_of_order
 
 from conftest import (
@@ -285,33 +292,141 @@ def test_sweep_parallel_output_identical():
 
 
 def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
-    pools = []
+    forks, fork = [], os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
+    calls = []
 
-        def __exit__(self, *exc):
-            return False
+    def sweep(cat, jobs=1):
+        before = len(forks)
+        text = dumps(catalog_invariant_sweep(cat, jobs=jobs))
+        if len(forks) > before:
+            calls.append(len(forks) - before)
+        return text
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cat = enumerate_braces(4)
-    assert dumps(catalog_invariant_sweep(cat, jobs=16)) == dumps(catalog_invariant_sweep(cat))
-    assert pools == [4]
-    catalog_invariant_sweep(enumerate_braces(2), jobs=16)
-    assert pools == [4]
+    assert sweep(cat, jobs=16) == sweep(cat)
+    assert calls == [3]
+    sweep(enumerate_braces(2), jobs=16)
+    assert calls == [3]
 
     # ... and at the CPU count, or serial when that is unknown
-    serial = dumps(catalog_invariant_sweep(cat))
+    serial = sweep(cat)
     for cpus in (3, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         for jobs in range(1, 7):
-            assert dumps(catalog_invariant_sweep(cat, jobs=jobs)) == serial
-    assert pools == [4, 2, 3, 3, 3, 3]
+            assert sweep(cat, jobs=jobs) == serial
+    assert calls == [3, 1, 2, 2, 2, 2]
+    _assert_no_child_left()
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    cat = enumerate_braces(4)
+    serial = dumps(catalog_invariant_sweep(cat))
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert dumps(catalog_invariant_sweep(cat, jobs=4)) == serial
+
+
+@contextmanager
+def _hang_guard(seconds=30):
+    """Turn a hang into a test failure after ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError("the parallel sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _on_last_order_8_entry(monkeypatch, action):
+    """Make the sweep row of the last order-8 entry run ``action()`` instead
+    of its report.  At two workers that entry is in the forked slice."""
+    last = enumerate_braces(8).braces[-1]
+    report = bracekit.catalog.brace_report
+    monkeypatch.setattr(bracekit.catalog, "brace_report",
+                        lambda A, bound: action() if A == last else report(A, bound))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_sweep_worker_bound_error_exits_3_as_serially(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def exceed():
+        raise BoundExceededError("in the parent" if os.getpid() == parent else "in a worker")
+
+    _on_last_order_8_entry(monkeypatch, exceed)
+    assert main(["sweep", "8", "--jobs", "1"]) == 3
+    assert "bound exceeded: in the parent" in capsys.readouterr().err
+    with _hang_guard():
+        assert main(["sweep", "8", "--jobs", "2"]) == 3
+    assert "bound exceeded: in a worker" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_sweep_worker_that_exits_without_sending_exits_4(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "the last entry ran in the parent"
+        os._exit(1)
+
+    _on_last_order_8_entry(monkeypatch, die)
+    with _hang_guard():
+        assert main(["sweep", "8", "--jobs", "2"]) == 4
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+class _ParentSliceError(Exception):
+    pass
+
+
+def _padded_report(monkeypatch, parent_raises):
+    """Pad every sweep row past 64 KB, the pipe buffer, so no worker's
+    message fits in its pipe; with ``parent_raises`` the parent's own rows
+    raise ``_ParentSliceError`` instead."""
+    parent = os.getpid()
+    report = bracekit.catalog.brace_report
+
+    def padded(A, bound):
+        if parent_raises and os.getpid() == parent:
+            raise _ParentSliceError
+        return {**report(A, bound), "padding": "x" * (1 << 16)}
+
+    monkeypatch.setattr(bracekit.catalog, "brace_report", padded)
+
+
+def test_sweep_parent_error_beside_a_full_pipe_propagates(monkeypatch):
+    """The parent's own slice raises while the worker is blocked writing:
+    the exception propagates and the worker is reaped."""
+    _padded_report(monkeypatch, parent_raises=True)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with _hang_guard(), pytest.raises(_ParentSliceError):
+        catalog_invariant_sweep(enumerate_braces(8), jobs=2)
+    _assert_no_child_left()
+
+
+def test_sweep_workers_send_messages_larger_than_a_pipe(monkeypatch):
+    """Three workers each send over 64 KB: every pipe reaches EOF (no later
+    worker holds an earlier write end) and the rows are the serial ones."""
+    _padded_report(monkeypatch, parent_raises=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cat = enumerate_braces(8)
+    with _hang_guard():
+        assert dumps(catalog_invariant_sweep(cat, jobs=3)) == dumps(catalog_invariant_sweep(cat))
+    _assert_no_child_left()

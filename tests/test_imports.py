@@ -65,17 +65,36 @@ def test_every_memo_can_hit():
     assert idle == []
 
 
+def _modules_loaded_by(code: str, names: set, env: dict) -> list:
+    """Those of ``names`` in ``sys.modules`` after ``python -S -c code``;
+    ``-S`` keeps a site ``.pth`` file from importing any of them first."""
+    code += f"; import sys; print(*sorted({names!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()[-1].split()
+
+
 def test_cli_start_up_loads_no_dataclasses():
-    """``import bracekit.cli`` loads neither ``dataclasses`` nor ``inspect``.
+    """``import bracekit.cli`` loads none of ``dataclasses``, ``inspect``,
+    ``hashlib``, ``pickle``, ``concurrent.futures`` or ``multiprocessing``.
 
     Every CLI command is its own process and pays the package import
     first; ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``)
-    would be most of it.  ``-S`` keeps a site ``.pth`` file from importing
-    either first.
+    would be most of it, and each of the others adds to the peak RSS of
+    every command (``hashlib`` alone ~3.6 MB on CPython 3.11).
     """
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = ("import bracekit.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    names = {"dataclasses", "inspect", "hashlib", "pickle", "concurrent.futures",
+             "multiprocessing"}
+    assert _modules_loaded_by("import bracekit.cli", names, env) == []
+
+
+def test_parallel_sweep_loads_no_process_pool(tmp_path):
+    """``sweep 8 --jobs 2`` forks its worker without ``concurrent.futures``
+    or ``multiprocessing``; ``pickle`` shows that the parallel path ran."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "BRACEKIT_CACHE": str(tmp_path / "cache")}
+    code = ("import os; os.cpu_count = lambda: 2; from bracekit.cli import main; "
+            f"assert main(['sweep', '8', '--jobs', '2', '--out', {str(tmp_path / 's.json')!r}]) == 0")
+    names = {"pickle", "concurrent.futures", "multiprocessing"}
+    assert _modules_loaded_by(code, names, env) == ["pickle"]
