@@ -53,10 +53,6 @@ class CheckReport(NamedTuple):
     def failed(self) -> bool:
         return self.status == "fail"
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "details": {k: v for k, v in self.details}}
-
 
 class BraceMorphism(NamedTuple):
     """A map of element indices preserving both operations."""
@@ -64,9 +60,6 @@ class BraceMorphism(NamedTuple):
     mapping: tuple[int, ...]
     source_order: int
     target_order: int
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
 
     @property
     def is_bijective(self) -> bool:

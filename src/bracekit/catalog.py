@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional
@@ -227,20 +226,18 @@ def _store_cached(catalog: BraceCatalog) -> None:
         pass  # cache is best-effort
 
 
-@lru_cache(maxsize=None)
-def enumerate_braces(n: int, use_disk_cache: bool = True) -> BraceCatalog:
-    """All skew braces of order n up to isomorphism.
+def enumerate_braces(n: int) -> BraceCatalog:
+    """All skew braces of order n up to isomorphism, read from the disk cache
+    when it holds them and stored there when it does not.
 
     The catalog is deterministic: groups in a fixed order, class
     representatives in canonical (lexicographically minimal) form.
     """
-    if use_disk_cache:
-        cached = _load_cached(n)
-        if cached is not None:
-            return cached
+    cached = _load_cached(n)
+    if cached is not None:
+        return cached
     catalog = _build_catalog(n)
-    if use_disk_cache:
-        _store_cached(catalog)
+    _store_cached(catalog)
     return catalog
 
 

@@ -28,7 +28,6 @@ from .formats import (
     dumps,
     load_brace,
     load_solution,
-    save_solution,
     solution_payload,
 )
 from .groups import BoundExceededError, GroupAxiomError, group_signature
@@ -77,6 +76,18 @@ def _writing(path):
         yield
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(payload, out: Optional[str], what: str) -> None:
+    """Write ``payload`` as canonical JSON to the file ``out`` and say so, or
+    print it when no file is given."""
+    text = dumps(payload)
+    if out:
+        with _writing(out):
+            Path(out).write_text(text)
+        print(f"wrote {what} to {out}")
+    else:
+        print(text, end="")
 
 
 def _cmd_verify(args) -> int:
@@ -243,13 +254,7 @@ def _cmd_sweep(args) -> int:
     catalog = _catalog(args.order)
     payload = catalog_invariant_sweep(catalog, jobs=args.jobs,
                                       desc_bound=args.desc_bound)
-    text = dumps(payload)
-    if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(text)
-        print(f"wrote sweep for order {args.order} to {args.out}")
-    else:
-        print(text, end="")
+    _emit(payload, args.out, f"sweep for order {args.order}")
     failed = any(bucket["fail"] for bucket in payload["aggregate"].values())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
@@ -257,7 +262,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ybe_check(args) -> int:
     S = load_solution(args.solution)
     report = check_solution(S)
-    for key, value in report.as_dict().items():
+    for key, value in report._asdict().items():
         if key.endswith("_witness"):
             if value is not None and args.witness:
                 print(f"{key}: {value}")
@@ -271,25 +276,14 @@ def _cmd_ybe_check(args) -> int:
 
 def _cmd_ybe_from_brace(args) -> int:
     A = load_brace(args.brace)
-    S = solution_from_brace(A)
-    if args.out:
-        with _writing(args.out):
-            save_solution(S, args.out)
-        print(f"wrote solution to {args.out}")
-    else:
-        print(dumps(solution_payload(S)), end="")
+    _emit(solution_payload(solution_from_brace(A)), args.out, "solution")
     return EXIT_OK
 
 
 def _cmd_ybe_derived(args) -> int:
     S = _nondegenerate_solution(args.solution)
     D = derived_solution(S)
-    if args.out:
-        with _writing(args.out):
-            save_solution(D, args.out)
-        print(f"wrote derived solution to {args.out}")
-    else:
-        print(dumps(solution_payload(D)), end="")
+    _emit(solution_payload(D), args.out, "derived solution")
     if is_derived_form(D):
         indecomposable, orbits = is_indecomposable_derived(D)
         print(f"quandle: {is_quandle(D)}", file=sys.stderr)

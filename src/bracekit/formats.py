@@ -1,4 +1,4 @@
-"""JSON file formats for groups, braces and set-theoretic solutions."""
+"""JSON file formats for braces and set-theoretic solutions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Union
 
 from .braces import SkewBrace, verify_brace
-from .groups import BoundExceededError, FiniteGroup, verify_group_axioms
+from .groups import BoundExceededError
 from .ybe import SetSolution, make_solution
 
 # The largest order or size a file may declare, checked before any table is
@@ -56,13 +56,6 @@ def _check_table(payload: dict, key: str, n: int) -> list[list[int]]:
     return table
 
 
-def load_group(path: Union[str, Path]) -> FiniteGroup:
-    """Group JSON: {"order": n, "table": [[...]]}."""
-    payload = _load_json(path)
-    n = _declared_order(payload, "order")
-    return verify_group_axioms(_check_table(payload, "table", n))
-
-
 def load_brace(path: Union[str, Path]) -> SkewBrace:
     """Brace JSON: {"order": n, "add": [[...]], "circle": [[...]]}."""
     payload = _load_json(path)
@@ -80,10 +73,6 @@ def brace_payload(A: SkewBrace) -> dict:
     }
 
 
-def save_brace(A: SkewBrace, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps(brace_payload(A)))
-
-
 def load_solution(path: Union[str, Path]) -> SetSolution:
     """Solution JSON: {"size": n, "sigma": [[...]], "tau": [[...]]}."""
     payload = _load_json(path)
@@ -99,10 +88,6 @@ def solution_payload(S: SetSolution) -> dict:
         "sigma": [list(row) for row in S.sigma],
         "tau": [list(row) for row in S.tau],
     }
-
-
-def save_solution(S: SetSolution, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps(solution_payload(S)))
 
 
 def dumps(payload) -> str:

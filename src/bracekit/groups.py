@@ -461,7 +461,6 @@ def search_maps(G: FiniteGroup, H: FiniteGroup,
     return (tuple(map(m.__getitem__, range(n))) for m in leaves if len(set(m.values())) == n)
 
 
-@lru_cache(maxsize=None)
 def automorphism_group(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All automorphisms as index permutations, found by mapping a generating
     set with images pruned by element order (``search_maps``).  Output is

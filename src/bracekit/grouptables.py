@@ -1,15 +1,14 @@
 """Built-in Cayley tables for every group of order 1..MAX_ORDER.
 
-The base tables (cyclic, dihedral, dicyclic, alternating) are written from
-standard presentations and verified through verify_group_axioms when built.
-Direct products of them are built from the verified factors, which makes
-them groups, and are not verified again.
+The base tables (cyclic, dicyclic, alternating) are written from standard
+presentations and verified through verify_group_axioms when built.  Dihedral
+groups and direct products are semidirect products of verified factors,
+which makes them groups, and are not verified again.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .groups import FiniteGroup, _semidirect_group, verify_group_axioms
 
@@ -28,17 +27,11 @@ def direct_product_group(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """D_n of order 2n: elements r^i s^j indexed as 2i + j."""
-    size = 2 * n
-
-    def mul(e1, e2):
-        i1, j1 = divmod(e1, 2)
-        i2, j2 = divmod(e2, 2)
-        i = (i1 + i2) % n if j1 == 0 else (i1 - i2) % n
-        return 2 * i + (j1 ^ j2)
-
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
-    return verify_group_axioms(table)
+    """D_n = C_n ⋊ C2 of order 2n, with s acting by inversion: elements
+    r^i s^j indexed as 2i + j.  Inversion is an automorphism of order at
+    most 2 of the abelian C_n, so the product is a group."""
+    C = cyclic(n)
+    return _semidirect_group(C, cyclic(2), [tuple(C.elements()), C.inverse])
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -75,7 +68,6 @@ def _is_even(p: tuple[int, ...]) -> bool:
     return inversions % 2 == 0
 
 
-@lru_cache(maxsize=None)
 def groups_of_order(n: int) -> tuple[tuple[str, FiniteGroup], ...]:
     """All groups of order n (1 <= n <= MAX_ORDER), as (name, group) pairs."""
     if not 1 <= n <= MAX_ORDER:

@@ -38,16 +38,6 @@ class SolutionReport(NamedTuple):
     braid_witness: Optional[tuple[int, int, int]] = None
     involutive_witness: Optional[tuple[int, int]] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "is_bijective": self.is_bijective,
-            "is_ybe": self.is_ybe,
-            "is_nondegenerate": self.is_nondegenerate,
-            "is_involutive": self.is_involutive,
-            "braid_witness": self.braid_witness,
-            "involutive_witness": self.involutive_witness,
-        }
-
 
 class PermutationGroupSummary(NamedTuple):
     order: int

@@ -587,6 +587,18 @@ def oracle_check_solution(S: SetSolution) -> SolutionReport:
 # checks and constructors used only by tests
 
 
+def oracle_dihedral(n: int) -> FiniteGroup:
+    """D_n of order 2n from its presentation, elements r^i s^j indexed as
+    2i + j: r^i1 s^j1 · r^i2 s^j2 = r^(i1 ± i2) s^(j1 + j2), with - when j1 = 1."""
+    def mul(e1, e2):
+        i1, j1 = divmod(e1, 2)
+        i2, j2 = divmod(e2, 2)
+        i = (i1 + i2) % n if j1 == 0 else (i1 - i2) % n
+        return 2 * i + (j1 ^ j2)
+
+    return verify_group_axioms([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+
+
 def flip_solution(n: int) -> SetSolution:
     sigma = tuple(tuple(range(n)) for _ in range(n))
     return SetSolution(n, sigma, sigma)

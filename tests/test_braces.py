@@ -19,7 +19,7 @@ from bracekit.braces import (
     verify_brace,
     zero_brace,
 )
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.groups import BoundExceededError, FiniteGroup, GroupAxiomError, abelian_invariants
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ideals import a2, all_ideals
@@ -205,7 +205,7 @@ def test_brace_automorphism_group_matches_brute_force():
 
 @cache
 def catalog() -> tuple[SkewBrace, ...]:
-    return tuple(A for n in range(1, 13) for A in enumerate_braces(n, use_disk_cache=False).braces)
+    return tuple(A for n in range(1, 13) for A in _build_catalog(n).braces)
 
 
 def test_braces_and_groups_are_values():

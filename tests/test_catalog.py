@@ -147,7 +147,7 @@ def test_flat_relabeling_and_order_match_nested_tuples(n):
 @given(st.data())
 def test_additive_relabeling_canonicalizes_to_the_catalog_entry(data):
     for n in KNOWN_COUNTS:
-        for A in enumerate_braces(n, use_disk_cache=False).braces:
+        for A in _build_catalog(n).braces:
             phi = data.draw(st.sampled_from(automorphism_group(A.add)))
             circle = relabel_table(A.circle.table, phi)
             assert oracle_canonical_circle(A.add, circle) == A.circle.table
@@ -159,7 +159,7 @@ def test_catalog_is_closed_under_opposite_braces(n):
     """The opposite brace, a +op b = b + a with the same circle, is a skew
     brace of the same order (Koch-Truman 2020), so exactly one entry is
     isomorphic to it."""
-    braces = enumerate_braces(n, use_disk_cache=False).braces
+    braces = _build_catalog(n).braces
     for A in braces:
         opposite = verify_brace([list(col) for col in zip(*A.add.table)], A.circle.table)
         assert sum(1 for B in braces if brace_isomorphic(opposite, B)) == 1
@@ -199,14 +199,24 @@ def test_build_is_deterministic():
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("BRACEKIT_CACHE", str(tmp_path / "cachedir"))
-    enumerate_braces.cache_clear()
     fresh = enumerate_braces(6)
     assert cache_directory().exists()
-    enumerate_braces.cache_clear()
     cached = enumerate_braces(6)
     assert [A.circle.table for A in cached.braces] == \
         [A.circle.table for A in fresh.braces]
-    enumerate_braces.cache_clear()
+
+
+def test_a_new_cache_directory_is_read_and_written_in_the_same_process(tmp_path, monkeypatch):
+    """A second call under another BRACEKIT_CACHE stores its catalog there
+    instead of returning the first call's catalog from memory."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(first))
+    a = enumerate_braces(8)
+    monkeypatch.setenv("BRACEKIT_CACHE", str(second))
+    b = enumerate_braces(8)
+    assert (first / "braces_8_holomorph.json").exists()
+    assert (second / "braces_8_holomorph.json").exists()
+    assert a == b
 
 
 def test_failed_cache_write_leaves_no_catalog_file(tmp_path, monkeypatch):
@@ -220,52 +230,43 @@ def test_failed_cache_write_leaves_no_catalog_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    enumerate_braces.cache_clear()
     assert len(enumerate_braces(6).braces) == 6
     assert list(cachedir.iterdir()) == []
 
     monkeypatch.undo()
     monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
-    enumerate_braces.cache_clear()
     enumerate_braces(6)
     assert [p.name for p in cachedir.iterdir()] == ["braces_6_holomorph.json"]
-    enumerate_braces.cache_clear()
 
 
 def test_cache_with_a_missing_entry_is_rebuilt(tmp_path, monkeypatch):
     cachedir = tmp_path / "cachedir"
     monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
-    enumerate_braces.cache_clear()
     enumerate_braces(8)
     path = cachedir / "braces_8_holomorph.json"
     payload = json.loads(path.read_text())
     del payload["entries"][5]
     for corrupt in (payload, []):
         path.write_text(json.dumps(corrupt, sort_keys=True))
-        enumerate_braces.cache_clear()
         assert len(enumerate_braces(8).braces) == 47
         assert len(json.loads(path.read_text())["entries"]) == 47
-    enumerate_braces.cache_clear()
 
 
 def test_cache_with_a_repeated_class_is_rebuilt(tmp_path, monkeypatch):
     cachedir = tmp_path / "cachedir"
     monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
-    enumerate_braces.cache_clear()
     enumerate_braces(4)
     path = cachedir / "braces_4_holomorph.json"
     payload = json.loads(path.read_text())
     assert payload["entries"][0]["group"] == payload["entries"][1]["group"]
     payload["entries"][1] = payload["entries"][0]
     path.write_text(json.dumps(payload, sort_keys=True))
-    enumerate_braces.cache_clear()
     braces = enumerate_braces(4).braces
     assert len(braces) == 4
     for i, A in enumerate(braces):
         for B in braces[i + 1:]:
             assert brace_isomorphic(A, B) is None
     assert json.loads(path.read_text())["entries"][1] != payload["entries"][0]
-    enumerate_braces.cache_clear()
 
 
 def test_unknown_method_rejected(capsys):

@@ -12,11 +12,11 @@ from bracekit import invariants
 from bracekit.formats import (
     MAX_INPUT_ORDER,
     InputFormatError,
+    brace_payload,
+    dumps,
     load_brace,
-    load_group,
     load_solution,
-    save_brace,
-    save_solution,
+    solution_payload,
 )
 from bracekit.groups import BoundExceededError
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
@@ -28,7 +28,7 @@ from conftest import klein_group, radical_ring_brace
 @pytest.fixture
 def ring_path(tmp_path):
     path = tmp_path / "ring.json"
-    save_brace(radical_ring_brace(), path)
+    path.write_text(dumps(brace_payload(radical_ring_brace())))
     return str(path)
 
 
@@ -37,7 +37,7 @@ def swaps_path(tmp_path):
     sigma = [(1, 0, 2, 3)] * 4
     tau = [(0, 1, 3, 2)] * 4
     path = tmp_path / "swaps.json"
-    save_solution(make_solution(sigma, tau), path)
+    path.write_text(dumps(solution_payload(make_solution(sigma, tau))))
     return str(path)
 
 
@@ -76,7 +76,7 @@ def test_report_json_roundtrip(ring_path, capsys):
 
 def test_report_over_ideal_bound_exits_3(tmp_path, capsys):
     path = tmp_path / "c17.json"
-    save_brace(trivial_brace(cyclic(17)), path)
+    path.write_text(dumps(brace_payload(trivial_brace(cyclic(17)))))
     assert main(["report", str(path)]) == 3
     assert "bound exceeded" in capsys.readouterr().err
 
@@ -104,14 +104,14 @@ def test_weight_command(tmp_path, capsys):
     c2 = cyclic(2)
     G = direct_product_group(direct_product_group(c2, c2), c2)
     path = tmp_path / "c2cubed.json"
-    save_brace(trivial_brace(G), path)
+    path.write_text(dumps(brace_payload(trivial_brace(G))))
     assert main(["weight", str(path)]) == 0
     assert "weight = 3" in capsys.readouterr().out
 
 
 def test_decompose_command(tmp_path, capsys):
     path = tmp_path / "klein.json"
-    save_brace(trivial_brace(klein_group()), path)
+    path.write_text(dumps(brace_payload(trivial_brace(klein_group()))))
     assert main(["decompose", str(path)]) == 0
     out = capsys.readouterr().out
     assert "A/Rad(A) has order 4" in out
@@ -182,6 +182,27 @@ def test_crash_exits_4_not_check_failed(ring_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_weight_lift_that_does_not_generate_exits_4(ring_path, monkeypatch, capsys):
+    """``weight`` re-verifies the lift of a generating set of A/Rad(A).  A
+    lift that does not generate A is a bug, reported as an internal error,
+    not covered by a search in A."""
+    A = load_brace(ring_path)
+    real_closure = invariants.ideal_closure
+    first_in_A = []
+
+    def lift_does_not_generate(B, seed):
+        if B == A and not first_in_A:
+            first_in_A.append(seed)
+            return frozenset({0})
+        return real_closure(B, seed)
+
+    invariants.weight.cache_clear()
+    monkeypatch.setattr(invariants, "ideal_closure", lift_does_not_generate)
+    assert main(["weight", ring_path]) == cli.EXIT_INTERNAL_ERROR == 4
+    assert first_in_A
+    assert "internal error: AssertionError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "13"], ["enumerate", "0"], ["enumerate", "-1"],
     ["sweep", "13"], ["sweep", "0"],
@@ -225,20 +246,21 @@ def test_unwritable_output_is_invalid_input(argv, ring_path, swaps_path, tmp_pat
 @pytest.mark.parametrize("command", ["derived", "group"])
 def test_degenerate_solution_is_invalid_input(command, tmp_path, capsys):
     path = tmp_path / "degenerate.json"
-    save_solution(make_solution([(0, 0), (0, 0)], [(0, 1), (0, 1)]), path)
+    S = make_solution([(0, 0), (0, 0)], [(0, 1), (0, 1)])
+    path.write_text(dumps(solution_payload(S)))
     assert main(["ybe", command, str(path)]) == 2
     assert "non-degenerate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,key,tables", [
-    ("group", "order", ("table",)),
+    ("brace", "order", ()),  # the bound is read before the tables are looked for
     ("brace", "order", ("add", "circle")),
     ("solution", "size", ("sigma", "tau")),
 ])
 def test_oversized_input_fails_fast(kind, key, tables, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({key: MAX_INPUT_ORDER + 1, **{t: [] for t in tables}}))
-    loader = {"group": load_group, "brace": load_brace, "solution": load_solution}[kind]
+    loader = {"brace": load_brace, "solution": load_solution}[kind]
     with pytest.raises(BoundExceededError, match="257"):
         loader(path)
 
@@ -256,8 +278,8 @@ BOOL_TABLE_SOLUTION = {"size": 2, "sigma": [[0, 1], [0, 1]], "tau": [[True, Fals
 
 
 @pytest.mark.parametrize("loader,payload", [
-    (load_group, {"order": True, "table": [[0]]}),
-    (load_group, {"order": 2, "table": [[0, 1], [1, False]]}),
+    (load_brace, {"order": 2, "add": [[0, 1], [1, 0]], "circle": [[0, 1], [1, False]]}),
+    (load_solution, {"size": 2, "sigma": [[0, True], [0, 1]], "tau": [[0, 1], [0, 1]]}),
     (load_brace, BOOL_ORDER_BRACE),
     (load_brace, BOOL_TABLE_BRACE),
     (load_solution, {"size": True, "sigma": [[0]], "tau": [[0]]}),
@@ -302,7 +324,7 @@ def test_ybe_check_failure_exit_code(tmp_path):
     sigma = [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
     tau = [(0, 1, 2)] * 3
     path = tmp_path / "broken.json"
-    save_solution(make_solution(sigma, tau), path)
+    path.write_text(dumps(solution_payload(make_solution(sigma, tau))))
     assert main(["ybe", "check", str(path)]) == 1
 
 
@@ -350,7 +372,8 @@ def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
     freshly built parser: an option of one call never leaks into the next."""
     assert build_parser() is build_parser()
     broken = tmp_path / "broken.json"
-    save_solution(make_solution([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(0, 1, 2)] * 3), broken)
+    S = make_solution([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(0, 1, 2)] * 3)
+    broken.write_text(dumps(solution_payload(S)))
     sweep_out = tmp_path / "sweep.json"
     calls = [
         ["report", ring_path, "--json", "--desc-bound", "12"],
@@ -383,7 +406,8 @@ def test_ybe_group_on_a_huge_permutation_group_exits_3_fast(tmp_path, capsys):
     cycle = tuple((i + 1) % n for i in range(n))
     transposition = (1, 0, *range(2, n))
     path = tmp_path / "huge-group.json"
-    save_solution(make_solution([cycle, transposition] * (n // 2), [tuple(range(n))] * n), path)
+    S = make_solution([cycle, transposition] * (n // 2), [tuple(range(n))] * n)
+    path.write_text(dumps(solution_payload(S)))
     start = time.perf_counter()
     assert main(["ybe", "group", str(path)]) == cli.EXIT_BOUND_EXCEEDED == 3
     assert time.perf_counter() - start < 10

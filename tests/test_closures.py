@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog
 from bracekit.groups import all_normal_subgroups, normal_closure, subgroup_closure
 from bracekit.ideals import (
     all_ideals,
@@ -39,7 +39,7 @@ CATALOG_ORDERS = range(1, 13)
 
 @cache
 def catalog_braces(orders: tuple[int, ...]) -> tuple:
-    return tuple(A for n in orders for A in enumerate_braces(n, use_disk_cache=False).braces)
+    return tuple(A for n in orders for A in _build_catalog(n).braces)
 
 
 @cache

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bracekit.braces
 import bracekit.groups
 from bracekit.braces import brace_automorphism_group, brace_isomorphic, verify_brace
-from bracekit.catalog import _circle_tables_holomorph, enumerate_braces
+from bracekit.catalog import _build_catalog, _circle_tables_holomorph
 from bracekit.groups import (
     GroupAxiomError,
     _semidirect_group,
@@ -47,6 +47,7 @@ from conftest import (
     brute_normal_subgroups,
     brute_subgroups,
     klein_group,
+    oracle_dihedral,
     oracle_extend_hom,
     oracle_search_maps,
     permutation_table,
@@ -215,6 +216,15 @@ def test_constructed_groups_reverify():
         assert verify_group_axioms(G.table) == G
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_is_the_presentation_table(n):
+    """The semidirect product C_n ⋊ C2 by inversion gives, element for
+    element, the table of D_n written from its presentation."""
+    D = dihedral(n)
+    assert D == oracle_dihedral(n)
+    assert verify_group_axioms(D.table) == D
+
+
 def cyclic_action(n: int, k: int, e: int) -> list[tuple[int, ...]]:
     """C_k acting on C_n, its generator by x ↦ e·x."""
     return [tuple(pow(e, j, n) * x % n for x in range(n)) for j in range(k)]
@@ -286,7 +296,7 @@ def test_extend_hom_matches_the_worklist_oracle(data):
 def catalog_pairs():
     """Each brace of the catalogs of order <= MAX_ORDER against a relabeled
     copy (an isomorphic pair) and against the next entry."""
-    braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
+    braces = [A for n in range(1, MAX_ORDER + 1) for A in _build_catalog(n).braces]
     pairs = []
     for A, B in zip(braces, braces[1:] + braces[:1]):
         perm = (0, *range(A.order - 1, 0, -1))
@@ -305,7 +315,7 @@ def test_automorphism_group_and_brace_isomorphic_match_the_worklist_oracle(monke
     groups = list(dict.fromkeys(G for A, _ in pairs for G in (A.add, A.circle)))
 
     def run():
-        return ([automorphism_group.__wrapped__(G) for G in groups],
+        return ([automorphism_group(G) for G in groups],
                 [brace_isomorphic(A, B) for A, B in pairs],
                 [_circle_tables_holomorph(G) for G in BUILT_IN_GROUPS])
 
@@ -351,7 +361,7 @@ def test_brace_automorphisms_preserve_both_tables():
     """``brace_automorphism_group`` checks only the circle table; each map
     preserves the additive one too."""
     for n in range(1, MAX_ORDER + 1):
-        for A in enumerate_braces(n, use_disk_cache=False).braces:
+        for A in _build_catalog(n).braces:
             for phi in brace_automorphism_group(A):
                 assert preserves(phi.mapping, A.add.table, A.add.table)
                 assert preserves(phi.mapping, A.circle.table, A.circle.table)

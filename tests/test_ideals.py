@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracekit.braces import brace_isomorphic, direct_product, trivial_brace, zero_brace
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.groups import BoundExceededError
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
 from bracekit.ideals import (
@@ -204,7 +204,7 @@ def test_unchecked_quotient_matches_the_checked_one_on_lattice_ideals():
     an ideal, and the unchecked quotient by every lattice ideal is the
     checked one."""
     for n in range(1, MAX_ORDER + 1):
-        for A in enumerate_braces(n, use_disk_cache=False).braces:
+        for A in _build_catalog(n).braces:
             lattice = all_ideals(A)
             assert a2(A) in lattice and radical_set(A) in lattice
             assert set(maximal_ideals(A)) <= set(lattice)

@@ -9,7 +9,7 @@ from bracekit.braces import (
     trivial_brace,
     zero_brace,
 )
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
 from bracekit.ideals import a2, ideal_closure, quotient_brace
 from bracekit.invariants import (
@@ -233,6 +233,6 @@ def test_schur_embedding_passes_on_order_16_classes(name, count):
 
 
 def test_schur_embedding_matches_the_all_elements_oracle():
-    braces = [A for n in range(1, MAX_ORDER + 1) for A in enumerate_braces(n, use_disk_cache=False).braces]
+    braces = [A for n in range(1, MAX_ORDER + 1) for A in _build_catalog(n).braces]
     braces += [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
     assert [schur_embedding(A).status for A in braces] == list(map(oracle_schur_embedding, braces))

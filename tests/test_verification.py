@@ -22,7 +22,7 @@ from bracekit.braces import (
     direct_product,
     verify_brace,
 )
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog
 from bracekit.groups import (
     GroupAxiomError,
     all_normal_subgroups,
@@ -39,7 +39,7 @@ ORDERS = tuple(range(1, 13))
 
 @cache
 def catalog() -> tuple[SkewBrace, ...]:
-    return tuple(A for n in ORDERS for A in enumerate_braces(n, use_disk_cache=False).braces)
+    return tuple(A for n in ORDERS for A in _build_catalog(n).braces)
 
 
 def outcome(fn, *args):

@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bracekit.braces import trivial_brace, verify_brace
-from bracekit.catalog import enumerate_braces
+from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import cyclic, dihedral
 from bracekit import ybe
 from bracekit.groups import BoundExceededError
@@ -203,7 +203,7 @@ def catalog_solutions() -> tuple:
     its derived solution."""
     out = []
     for n in range(1, 13):
-        for A in enumerate_braces(n, use_disk_cache=False).braces:
+        for A in _build_catalog(n).braces:
             S = solution_from_brace(A)
             out += [S, derived_solution(S)]
     return tuple(out)
