@@ -243,7 +243,7 @@ def enumerate_braces(n: int) -> BraceCatalog:
 
 def _sweep_row(index: int, group_name: str, A: SkewBrace, desc_bound: int) -> dict:
     row = {"index": index, "additive_name": group_name}
-    row.update(brace_report(A, desc_bound))
+    row.update(brace_report(A))
     row["star_identities"] = check_star_identities(A).status
     row["checks"] = {r.name: r.status for r in theorem_checks(A, desc_bound)}
     return row
@@ -274,9 +274,8 @@ def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
 
 def _forked_rows(tasks: list, workers: int) -> list[dict]:
     """The rows of ``tasks`` in order, cut into ``workers`` contiguous
-    slices: slices 1, 2, … each in a forked child, slice 0 here."""
-    import pickle  # only a parallel sweep needs it
-
+    slices: slices 1, 2, … each in a forked child, slice 0 here.  At one
+    worker nothing is forked and every row is computed here."""
     cut = [k * len(tasks) // workers for k in range(workers + 1)]
     pids: list[int] = []
     reads: list[int] = []
@@ -301,6 +300,8 @@ def _forked_rows(tasks: list, workers: int) -> list[dict]:
             if status or not message:
                 raise RuntimeError(f"a sweep worker ended with wait status {status} "
                                    f"after sending {len(message)} bytes")
+            import pickle  # only a worker's message needs it
+
             ok, value = pickle.loads(message)
             if not ok:
                 raise value
@@ -340,11 +341,8 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
         (i, name, A, desc_bound)
         for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers > 1:
-        rows = _forked_rows(tasks, workers)
-    else:
-        rows = [_sweep_row(*t) for t in tasks]
+    workers = max(1, min(jobs, len(tasks), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    rows = _forked_rows(tasks, workers)
 
     aggregate: dict[str, dict[str, int]] = {}
     for row in rows:

@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     A = load_brace(args.brace)
-    payload = brace_report(A, desc_bound=args.desc_bound)
+    payload = brace_report(A)
     if args.json:
         print(dumps(payload), end="")
     else:
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full invariant report for a brace")
     p.add_argument("brace")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
+    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND,
+                   help="accepted for compatibility; does not change the report")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("ideals", help="print the ideal lattice")

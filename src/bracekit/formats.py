@@ -6,14 +6,13 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .braces import SkewBrace, verify_brace
+from .braces import DEFAULT_PRODUCT_BOUND, SkewBrace, verify_brace
 from .groups import BoundExceededError
 from .ybe import SetSolution, make_solution
 
 # The largest order or size a file may declare, checked before any table is
-# read: the same bound as braces.DEFAULT_PRODUCT_BOUND, so every table
-# bracekit builds can be loaded back.
-MAX_INPUT_ORDER = 256
+# read: the product bound, so every table bracekit builds can be loaded back.
+MAX_INPUT_ORDER = DEFAULT_PRODUCT_BOUND
 
 
 class InputFormatError(ValueError):

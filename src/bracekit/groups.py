@@ -27,7 +27,7 @@ class GroupAxiomError(ValueError):
 
 
 class BoundExceededError(RuntimeError):
-    """An exhaustive operation was asked to run past its configured bound."""
+    """An operation was asked to run past its configured bound."""
 
 
 class _Value:

@@ -25,6 +25,7 @@ from .groups import (
     commutator_subgroup,
     generating_sequence,
     group_signature,
+    preserves,
     quotient_group,
 )
 from .ideals import (
@@ -58,12 +59,10 @@ class RadicalReport(NamedTuple):
 class WeightCertificate(NamedTuple):
     weight: int
     generating_set: frozenset[int]
-    exhaustive: bool
 
 
 class SolvableSeries(NamedTuple):
     terms: tuple[frozenset[int], ...]
-    stabilized: bool
 
     @property
     def solvable(self) -> bool:
@@ -147,7 +146,7 @@ def solvable_series(A: SkewBrace) -> SolvableSeries:
     while True:
         nxt = star_product(A, terms[-1], terms[-1])
         if nxt == terms[-1]:
-            return SolvableSeries(tuple(terms), stabilized=True)
+            return SolvableSeries(tuple(terms))
         terms.append(nxt)
 
 
@@ -162,7 +161,7 @@ def _subset_search(A: SkewBrace) -> WeightCertificate:
     for k in range(1, A.order + 1):
         for combo in itertools.combinations(elements, k):
             if ideal_closure(A, combo) == full:
-                return WeightCertificate(k, frozenset(combo), exhaustive=True)
+                return WeightCertificate(k, frozenset(combo))
     raise AssertionError("the full element set always generates")
 
 
@@ -176,39 +175,37 @@ def weight(A: SkewBrace) -> WeightCertificate:
     in M ≠ A; but that ideal contains Rad(A) and its image in A/Rad(A)
     contains a generating set, so it is all of A.  A weight of A/Rad(A) is
     therefore a weight of A (images of generators of A generate the
-    quotient, so it is no larger either).
+    quotient, so it is no larger either).  When Rad(A) = {0}, as for the
+    zero brace, which has no maximal ideal, the quotient has A's own tables
+    (``_cosets`` labels each {a} by a) and the lift is the identity.
     """
-    if A.order == 1:
-        return WeightCertificate(1, frozenset({0}), exhaustive=True)
-    R = radical_set(A)
-    if R == frozenset({0}):
-        return _subset_search(A)
-    Q, projection = _brace_cosets(A, R)  # Rad(A) is A or a meet of lattice ideals
+    Q, projection = _brace_cosets(A, radical_set(A))  # Rad(A) is A or a meet of lattice ideals
     cert = _subset_search(Q)
     lifted = frozenset(
         min(a for a in A.elements() if projection[a] == q) for q in cert.generating_set
     )
     if ideal_closure(A, lifted) != _full(A):
         raise AssertionError("a lifted generating set of A/Rad(A) must generate A")
-    return WeightCertificate(cert.weight, lifted, exhaustive=True)
+    return WeightCertificate(cert.weight, lifted)
 
 
 def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     """A/Rad(A) as a verified direct product of simple braces.
 
-    Picks an irredundant family of maximal ideals of B = A/Rad(A)
-    intersecting to zero, then builds the product isomorphism componentwise
-    and verifies bijectivity, factor simplicity and preservation of both
-    operations.
-    """
-    R = radical_set(A)
-    B, _ = _brace_cosets(A, R)  # Rad(A) is A or a meet of lattice ideals
-    zero = frozenset({0})
-    if B.order == 1:
-        P = zero_brace()
-        iso = BraceMorphism((0,), 1, 1)
-        return Decomposition((), iso, (), B, P)
+    Picks maximal ideals of B = A/Rad(A) greedily, each M not containing
+    the intersection I of those already picked, until I = 0; then builds the
+    product isomorphism componentwise and verifies bijectivity, factor
+    simplicity and preservation of both operations.
 
+    The family is irredundant.  M is maximal and I ⊄ M, so I + M = B, and
+    then B/(I∩M) ≅ B/I × B/M; by induction |B/∩family| = ∏|B/Mᵢ|.  Any
+    subfamily is picked the same way, since a member that does not contain
+    a smaller intersection does not contain a larger one either.  So
+    dropping one member leaves an intersection of index below |B|, which
+    is not zero.
+    """
+    B, _ = _brace_cosets(A, radical_set(A))  # Rad(A) is A or a meet of lattice ideals
+    zero = frozenset({0})
     family: list[frozenset[int]] = []
     inter = _full(B)
     for M in maximal_ideals(B):
@@ -219,16 +216,6 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
             break
     if inter != zero:
         raise AssertionError("Rad(A/Rad(A)) must be zero")
-    # drop redundant members
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(family)):
-            rest = family[:i] + family[i + 1:]
-            if rest and frozenset.intersection(*rest) == zero:
-                family.pop(i)
-                changed = True
-                break
 
     factors = []
     projections = []
@@ -239,7 +226,7 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
         factors.append(F)
         projections.append(proj)
 
-    product = factors[0]
+    product = factors[0] if factors else zero_brace()
     for F in factors[1:]:
         product = direct_product(product, F)
 
@@ -252,11 +239,9 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     iso = BraceMorphism(tuple(mapping), B.order, product.order)
     if not iso.is_bijective:
         raise AssertionError("decomposition map is not bijective")
-    for x in B.elements():
-        for y in B.elements():
-            if mapping[B.plus(x, y)] != product.plus(mapping[x], mapping[y]) or \
-                    mapping[B.circ(x, y)] != product.circ(mapping[x], mapping[y]):
-                raise AssertionError("decomposition map does not preserve the operations")
+    if not (preserves(mapping, B.add.table, product.add.table)
+            and preserves(mapping, B.circle.table, product.circle.table)):
+        raise AssertionError("decomposition map does not preserve the operations")
     return Decomposition(tuple(factors), iso, tuple(family), B, product)
 
 
@@ -439,10 +424,9 @@ def theorem_checks(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> tuple
     )
 
 
-def brace_report(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> dict:
+def brace_report(A: SkewBrace) -> dict:
     """The CLI `report` payload: distinguished ideals, radical data, weight,
     structural flags and Wedderburn factor orders."""
-    rad = radical(A, desc_bound)
     cert = weight(A)
     decomp = wedderburn_decompose(A)
     return {
@@ -453,9 +437,9 @@ def brace_report(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> dict:
         "annihilator": sorted(annihilator(A)),
         "fix": sorted(fix(A)),
         "a2": sorted(a2(A)),
-        "radical": sorted(rad.radical),
-        "radical_prime": sorted(rad.radical_prime),
-        "maximal_ideal_count": rad.maximal_ideal_count,
+        "radical": sorted(radical_set(A)),
+        "radical_prime": sorted(radical_prime_set(A)),
+        "maximal_ideal_count": len(maximal_ideals(A)),
         "weight": cert.weight,
         "weight_generators": sorted(cert.generating_set),
         "is_simple": is_simple(A),

@@ -1,14 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a single
 status line (visible with `pytest -s` or in the captured output)."""
 
-import itertools
-
 from bracekit.braces import check_star_identities, trivial_brace, verify_brace, zero_brace
 from bracekit.catalog import enumerate_braces
 from bracekit.cli import main
 from bracekit.groups import abelian_invariants
 from bracekit.grouptables import cyclic, direct_product_group
-from bracekit.ideals import a2, all_ideals, quotient_brace, sub_brace
+from bracekit.ideals import all_ideals, quotient_brace, sub_brace
 from bracekit.invariants import (
     check_gaschutz,
     check_kutzko,

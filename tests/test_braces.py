@@ -21,7 +21,7 @@ from bracekit.braces import (
 )
 from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.groups import BoundExceededError, FiniteGroup, GroupAxiomError, abelian_invariants
-from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.grouptables import cyclic, dihedral
 from bracekit.ideals import a2, all_ideals
 
 from conftest import brute_brace_automorphisms, klein_group, radical_ring_brace

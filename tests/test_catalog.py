@@ -2,6 +2,7 @@ import json
 import os
 import signal
 from contextlib import contextmanager
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -143,15 +144,21 @@ def test_flat_relabeling_and_order_match_nested_tuples(n):
         assert sorted(orbit, key=flat) == sorted(orbit)
 
 
+@cache
+def _braces_with_additive_automorphisms():
+    """Every catalog brace of order <= 12 with Aut(A,+), built once per test session."""
+    return tuple((A, automorphism_group(A.add))
+                 for n in KNOWN_COUNTS for A in _build_catalog(n).braces)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_additive_relabeling_canonicalizes_to_the_catalog_entry(data):
-    for n in KNOWN_COUNTS:
-        for A in _build_catalog(n).braces:
-            phi = data.draw(st.sampled_from(automorphism_group(A.add)))
-            circle = relabel_table(A.circle.table, phi)
-            assert oracle_canonical_circle(A.add, circle) == A.circle.table
-            assert brace_isomorphic(A, verify_brace(A.add.table, circle)) is not None
+    for A, auts in _braces_with_additive_automorphisms():
+        phi = data.draw(st.sampled_from(auts))
+        circle = relabel_table(A.circle.table, phi)
+        assert oracle_canonical_circle(A.add, circle) == A.circle.table
+        assert brace_isomorphic(A, verify_brace(A.add.table, circle)) is not None
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -360,7 +367,7 @@ def _on_last_order_8_entry(monkeypatch, action):
     last = enumerate_braces(8).braces[-1]
     report = bracekit.catalog.brace_report
     monkeypatch.setattr(bracekit.catalog, "brace_report",
-                        lambda A, bound: action() if A == last else report(A, bound))
+                        lambda A: action() if A == last else report(A))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
@@ -404,10 +411,10 @@ def _padded_report(monkeypatch, parent_raises):
     parent = os.getpid()
     report = bracekit.catalog.brace_report
 
-    def padded(A, bound):
+    def padded(A):
         if parent_raises and os.getpid() == parent:
             raise _ParentSliceError
-        return {**report(A, bound), "padding": "x" * (1 << 16)}
+        return {**report(A), "padding": "x" * (1 << 16)}
 
     monkeypatch.setattr(bracekit.catalog, "brace_report", padded)
 

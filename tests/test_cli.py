@@ -19,7 +19,7 @@ from bracekit.formats import (
     solution_payload,
 )
 from bracekit.groups import BoundExceededError
-from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.grouptables import cyclic, direct_product_group
 from bracekit.ybe import make_solution, solution_from_brace
 
 from conftest import klein_group, radical_ring_brace
@@ -67,11 +67,15 @@ def test_verify_malformed_json_exits_2(tmp_path):
 
 def test_report_json_roundtrip(ring_path, capsys):
     assert main(["report", ring_path, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["order"] == 4
     assert payload["radical"] == [0, 2]
     assert payload["weight"] == 1
     assert payload["wedderburn_factor_orders"] == [2]
+    for bound in ("1", "16"):  # --desc-bound does not change the report
+        assert main(["report", ring_path, "--json", "--desc-bound", bound]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_report_over_ideal_bound_exits_3(tmp_path, capsys):

@@ -28,6 +28,25 @@ def test_module_level_imports_are_used(path):
     assert sorted(imported - used) == []
 
 
+SCANNED = MODULES + sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    """Every name imported anywhere in a library or test module, also inside
+    a function, is used there.  A function parameter counts as a use:
+    pytest passes a fixture to a test by its parameter name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert sorted(imported - used) == []
+
 
 def _is_memo(decorator: ast.expr) -> bool:
     if isinstance(decorator, ast.Call):

@@ -2,16 +2,10 @@ import itertools
 
 import pytest
 
-from bracekit.braces import (
-    brace_isomorphic,
-    direct_product,
-    semidirect_product,
-    trivial_brace,
-    zero_brace,
-)
+from bracekit.braces import brace_isomorphic, trivial_brace, zero_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
-from bracekit.ideals import a2, ideal_closure, quotient_brace
+from bracekit.ideals import ideal_closure, quotient_brace
 from bracekit.invariants import (
     _subset_search,
     brace_report,
@@ -130,9 +124,10 @@ def test_weight_certificate_generates(ring_brace, s3_brace):
 
 def test_weight_opt_agrees_with_direct_search():
     for n in range(1, 7):
-        from bracekit.catalog import enumerate_braces
         for A in enumerate_braces(n).braces:
             assert weight(A).weight == _subset_search(A).weight
+            if radical_set(A) == frozenset({0}):  # the quotient is A itself
+                assert weight(A) == _subset_search(A)
 
 
 def test_generation_descends_to_quotients(ring_brace, s3_brace):
@@ -161,6 +156,18 @@ def test_wedderburn_with_radical(ring_brace, s3_brace):
     assert [F.order for F in D.factors] == [2]
     D = wedderburn_decompose(zero_brace())
     assert D.factors == () and D.semisimple_quotient.order == 1
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_wedderburn_family_is_irredundant(n):
+    """Dropping any one maximal ideal of the family leaves a non-zero
+    intersection, as the argument in ``wedderburn_decompose`` shows."""
+    for A in _build_catalog(n).braces:
+        D = wedderburn_decompose(A)
+        full = frozenset(D.semisimple_quotient.elements())
+        for i in range(len(D.maximal_ideals)):
+            rest = D.maximal_ideals[:i] + D.maximal_ideals[i + 1:]
+            assert full.intersection(*rest) != frozenset({0})
 
 
 def test_wedderburn_product_isomorphic_to_quotient():

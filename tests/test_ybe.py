@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bracekit.braces import trivial_brace, verify_brace
+from bracekit.braces import trivial_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
-from bracekit.grouptables import cyclic, dihedral
+from bracekit.grouptables import dihedral
 from bracekit import ybe
 from bracekit.groups import BoundExceededError
 from bracekit.ybe import (
