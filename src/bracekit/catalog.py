@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .braces import (
@@ -30,7 +31,7 @@ from .groups import (
     search_homs,
     sylow_subgroup,
 )
-from .grouptables import MAX_ORDER, groups_of_order
+from .grouptables import groups_of_order
 from .invariants import NON_GENERATOR_BOUND, brace_report, theorem_checks
 
 METHOD = "holomorph"
@@ -136,19 +137,20 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     return [verify_brace(G.table, [c[i:i + n] for i in range(0, n * n, n)]) for c in sorted(canon)]
 
 
+def _catalog(n: int, classes_per_group: Callable[[int, FiniteGroup], list[SkewBrace]]) -> BraceCatalog:
+    """The catalog of order n whose entries are ``classes_per_group(i, G)``
+    for the i-th group G of ``groups_of_order(n)``, in that order.  Names
+    and counts come from the group list alone."""
+    groups = groups_of_order(n)
+    classes = [classes_per_group(i, G) for i, (_, G) in enumerate(groups)]
+    counts = tuple((name, len(c)) for (name, _), c in zip(groups, classes))
+    return BraceCatalog(n, tuple(chain.from_iterable(classes)),
+                        tuple(name for name, k in counts for _ in range(k)), counts)
+
+
 def _build_catalog(n: int) -> BraceCatalog:
     """Canonical representatives of the braces of order n, group by group."""
-    if n > MAX_ORDER:
-        raise ValueError(f"holomorph enumeration supports order <= {MAX_ORDER}")
-    braces: list[SkewBrace] = []
-    names: list[str] = []
-    counts: list[tuple[str, int]] = []
-    for name, G in groups_of_order(n):
-        classes = _classes(G)
-        braces.extend(classes)
-        names.extend([name] * len(classes))
-        counts.append((name, len(classes)))
-    return BraceCatalog(n, tuple(braces), tuple(names), tuple(counts))
+    return _catalog(n, lambda i, G: _classes(G))
 
 
 def cache_directory() -> Path:
@@ -165,12 +167,14 @@ def _cache_path(n: int) -> Path:
 def _load_cached(n: int) -> Optional[BraceCatalog]:
     """The stored catalog of order n, or None for a miss.
 
-    A file that is not a JSON object, was written by another version or for
-    another order or method, or whose per-group counts do not list the groups
-    of its entries in order and in number is a miss, as is any entry that
-    fails brace verification.  So is a group whose circle tables are not
-    strictly increasing, as ``_build_catalog`` writes them: a repeated class
-    is caught.  Entries are not checked to be in canonical form.
+    The file holds only the circle tables: ``circles[i]`` lists those of the
+    i-th group G of ``groups_of_order(n)``, and each is verified as a brace
+    on G's own table.  A file that is not a JSON object, was written by
+    another version or for another order or method, or lists another number
+    of groups is a miss, as is any table that fails verification.  So is a
+    group whose circle tables are not strictly increasing, as
+    ``_build_catalog`` writes them: a repeated class is caught.  Tables are
+    not checked to be in canonical form, nor a group's list to be complete.
     """
     path = _cache_path(n)
     if not path.is_file():
@@ -180,37 +184,30 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
         if not isinstance(payload, dict) or \
                 (payload.get("version"), payload.get("order"), payload.get("method")) != (__version__, n, METHOD):
             return None
-        braces = []
-        names = []
-        for entry in payload["entries"]:
-            braces.append(verify_brace(entry["add"], entry["circle"]))
-            names.append(entry["group"])
-        counts = tuple((name, count) for name, count in payload["counts"])
-        if [name for name, count in counts for _ in range(count)] != names:
-            return None
-        if any(g == h and not A.circle.table < B.circle.table
-               for g, h, A, B in zip(names, names[1:], braces, braces[1:])):
-            return None
-    except (KeyError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
+        circles = payload["circles"]
+
+        def stored(i: int, G: FiniteGroup) -> list[SkewBrace]:
+            classes = [verify_brace(G.table, circle) for circle in circles[i]]
+            if any(not A.circle.table < B.circle.table for A, B in zip(classes, classes[1:])):
+                raise ValueError("a repeated or unsorted class")
+            return classes
+
+        catalog = _catalog(n, stored)
+    except (LookupError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
         return None
-    return BraceCatalog(n, tuple(braces), tuple(names), counts)
+    return catalog if len(catalog.counts) == len(circles) else None
 
 
 def _store_cached(catalog: BraceCatalog) -> None:
     path = _cache_path(catalog.order)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        braces = iter(catalog.braces)
         payload = {
             "version": __version__,
             "order": catalog.order,
             "method": METHOD,
-            "counts": [list(c) for c in catalog.counts],
-            "entries": [
-                {"group": name,
-                 "add": [list(r) for r in A.add.table],
-                 "circle": [list(r) for r in A.circle.table]}
-                for name, A in zip(catalog.additive_names, catalog.braces)
-            ],
+            "circles": [[A.circle.table for A in islice(braces, count)] for _, count in catalog.counts],
         }
         # Write a temp file beside the target and rename it into place, so a
         # failed write never leaves a truncated catalog for _load_cached.

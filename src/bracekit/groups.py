@@ -576,7 +576,7 @@ def abelian_invariants(G: FiniteGroup) -> Optional[tuple[int, ...]]:
         m = max(orders)
         invariants.append(m)
         g = orders.index(m)
-        current, _ = quotient_group(current, subgroup_closure(current, [g]))
+        current, _ = _cosets(current, subgroup_closure(current, [g]))  # abelian: <g> is normal
     return tuple(invariants)
 
 

@@ -252,11 +252,11 @@ def test_cache_with_a_missing_entry_is_rebuilt(tmp_path, monkeypatch):
     enumerate_braces(8)
     path = cachedir / "braces_8_holomorph.json"
     payload = json.loads(path.read_text())
-    del payload["entries"][5]
+    del payload["circles"][4]  # the classes of Q8
     for corrupt in (payload, []):
         path.write_text(json.dumps(corrupt, sort_keys=True))
         assert len(enumerate_braces(8).braces) == 47
-        assert len(json.loads(path.read_text())["entries"]) == 47
+        assert [len(c) for c in json.loads(path.read_text())["circles"]] == [5, 14, 8, 12, 8]
 
 
 def test_cache_with_a_repeated_class_is_rebuilt(tmp_path, monkeypatch):
@@ -265,15 +265,38 @@ def test_cache_with_a_repeated_class_is_rebuilt(tmp_path, monkeypatch):
     enumerate_braces(4)
     path = cachedir / "braces_4_holomorph.json"
     payload = json.loads(path.read_text())
-    assert payload["entries"][0]["group"] == payload["entries"][1]["group"]
-    payload["entries"][1] = payload["entries"][0]
+    payload["circles"][0][1] = payload["circles"][0][0]
     path.write_text(json.dumps(payload, sort_keys=True))
     braces = enumerate_braces(4).braces
     assert len(braces) == 4
     for i, A in enumerate(braces):
         for B in braces[i + 1:]:
             assert brace_isomorphic(A, B) is None
-    assert json.loads(path.read_text())["entries"][1] != payload["entries"][0]
+    assert json.loads(path.read_text())["circles"][0][1] != payload["circles"][0][0]
+
+
+def test_cache_cannot_relabel_an_additive_group(tmp_path, monkeypatch):
+    """A file in the layout that stored each entry's additive table and name:
+    entry 0, on C8, relabeled by a permutation that is no automorphism of
+    C8, is still a brace, and was served as C8 with the radical [0, 2, 4, 7].
+    Additive tables now come from the built-in groups, so the file is a miss
+    and is rewritten with the circle tables alone."""
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    built = _build_catalog(8)
+    swap = (0, 1, 2, 3, 4, 5, 7, 6)
+    entries = [{"group": name, "add": A.add.table, "circle": A.circle.table}
+               for name, A in zip(built.additive_names, built.braces)]
+    entries[0] = {"group": "C8", "add": relabel_table(entries[0]["add"], swap),
+                  "circle": relabel_table(entries[0]["circle"], swap)}
+    verify_brace(entries[0]["add"], entries[0]["circle"])
+    payload = {"version": bracekit.__version__, "order": 8, "method": "holomorph",
+               "counts": built.counts, "entries": entries}
+    path = cachedir / "braces_8_holomorph.json"
+    cachedir.mkdir()
+    path.write_text(json.dumps(payload, sort_keys=True))
+    assert enumerate_braces(8) == built
+    assert sorted(json.loads(path.read_text())) == ["circles", "method", "order", "version"]
 
 
 def test_unknown_method_rejected(capsys):
