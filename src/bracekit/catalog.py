@@ -14,7 +14,7 @@ import os
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .braces import (
@@ -35,6 +35,9 @@ from .grouptables import groups_of_order
 from .invariants import NON_GENERATOR_BOUND, brace_report, theorem_checks
 
 METHOD = "holomorph"
+# The skew braces of order n = 1, …, MAX_ORDER up to isomorphism
+# (Guarnieri–Vendramin, Math. Comp. 2017): a stored catalog must have as many.
+BRACE_COUNTS = (1, 1, 1, 4, 1, 6, 1, 47, 4, 6, 1, 38)
 
 
 class BraceCatalog(NamedTuple):
@@ -137,12 +140,11 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     return [verify_brace(G.table, [c[i:i + n] for i in range(0, n * n, n)]) for c in sorted(canon)]
 
 
-def _catalog(n: int, classes_per_group: Callable[[int, FiniteGroup], list[SkewBrace]]) -> BraceCatalog:
-    """The catalog of order n whose entries are ``classes_per_group(i, G)``
-    for the i-th group G of ``groups_of_order(n)``, in that order.  Names
-    and counts come from the group list alone."""
-    groups = groups_of_order(n)
-    classes = [classes_per_group(i, G) for i, (_, G) in enumerate(groups)]
+def _catalog(n: int, groups: tuple[tuple[str, FiniteGroup], ...],
+             classes: list[list[SkewBrace]]) -> BraceCatalog:
+    """The catalog of order n whose entries are ``classes[i]`` for the i-th
+    group of ``groups = groups_of_order(n)``, in that order.  Names and
+    counts come from the group list alone."""
     counts = tuple((name, len(c)) for (name, _), c in zip(groups, classes))
     return BraceCatalog(n, tuple(chain.from_iterable(classes)),
                         tuple(name for name, k in counts for _ in range(k)), counts)
@@ -150,7 +152,8 @@ def _catalog(n: int, classes_per_group: Callable[[int, FiniteGroup], list[SkewBr
 
 def _build_catalog(n: int) -> BraceCatalog:
     """Canonical representatives of the braces of order n, group by group."""
-    return _catalog(n, lambda i, G: _classes(G))
+    groups = groups_of_order(n)
+    return _catalog(n, groups, [_classes(G) for _, G in groups])
 
 
 def cache_directory() -> Path:
@@ -170,11 +173,12 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
     The file holds only the circle tables: ``circles[i]`` lists those of the
     i-th group G of ``groups_of_order(n)``, and each is verified as a brace
     on G's own table.  A file that is not a JSON object, was written by
-    another version or for another order or method, or lists another number
-    of groups is a miss, as is any table that fails verification.  So is a
-    group whose circle tables are not strictly increasing, as
-    ``_build_catalog`` writes them: a repeated class is caught.  Tables are
-    not checked to be in canonical form, nor a group's list to be complete.
+    another version or for another order or method, lists another number
+    of groups or another total than ``BRACE_COUNTS`` is a miss, as is any
+    table that fails verification.  So is a group whose circle tables are
+    not strictly increasing, as ``_build_catalog`` writes them: a repeated
+    class is caught, and with the pinned total so is a dropped one.  Tables
+    are not checked to be in canonical form.
     """
     path = _cache_path(n)
     if not path.is_file():
@@ -184,18 +188,13 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
         if not isinstance(payload, dict) or \
                 (payload.get("version"), payload.get("order"), payload.get("method")) != (__version__, n, METHOD):
             return None
-        circles = payload["circles"]
-
-        def stored(i: int, G: FiniteGroup) -> list[SkewBrace]:
-            classes = [verify_brace(G.table, circle) for circle in circles[i]]
-            if any(not A.circle.table < B.circle.table for A, B in zip(classes, classes[1:])):
-                raise ValueError("a repeated or unsorted class")
-            return classes
-
-        catalog = _catalog(n, stored)
+        circles, groups = payload["circles"], groups_of_order(n)
+        if len(circles) != len(groups) or sum(map(len, circles)) != BRACE_COUNTS[n - 1] or \
+                any(not a < b for c in circles for a, b in zip(c, c[1:])):
+            return None
+        return _catalog(n, groups, [[verify_brace(G.table, t) for t in c] for c, (_, G) in zip(circles, groups)])
     except (LookupError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
         return None
-    return catalog if len(catalog.counts) == len(circles) else None
 
 
 def _store_cached(catalog: BraceCatalog) -> None:

@@ -17,7 +17,6 @@ from bracekit.catalog import (
     _circle_tables_holomorph,
     _lambda_group,
     _relabeling,
-    cache_directory,
     catalog_invariant_sweep,
     enumerate_braces,
 )
@@ -205,12 +204,12 @@ def test_build_is_deterministic():
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+    """Every order's fresh file is served, so its total matches the pinned
+    count that the load checks."""
     monkeypatch.setenv("BRACEKIT_CACHE", str(tmp_path / "cachedir"))
-    fresh = enumerate_braces(6)
-    assert cache_directory().exists()
-    cached = enumerate_braces(6)
-    assert [A.circle.table for A in cached.braces] == \
-        [A.circle.table for A in fresh.braces]
+    for n in range(1, MAX_ORDER + 1):
+        fresh = enumerate_braces(n)
+        assert bracekit.catalog._load_cached(n) == fresh
 
 
 def test_a_new_cache_directory_is_read_and_written_in_the_same_process(tmp_path, monkeypatch):
@@ -251,9 +250,11 @@ def test_cache_with_a_missing_entry_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
     enumerate_braces(8)
     path = cachedir / "braces_8_holomorph.json"
-    payload = json.loads(path.read_text())
-    del payload["circles"][4]  # the classes of Q8
-    for corrupt in (payload, []):
+    stored = path.read_text()
+    no_group, no_class = json.loads(stored), json.loads(stored)
+    del no_group["circles"][4]  # the classes of Q8
+    del no_class["circles"][1][3]  # one class of C4xC2
+    for corrupt in (no_group, no_class, []):
         path.write_text(json.dumps(corrupt, sort_keys=True))
         assert len(enumerate_braces(8).braces) == 47
         assert [len(c) for c in json.loads(path.read_text())["circles"]] == [5, 14, 8, 12, 8]
