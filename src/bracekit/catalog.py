@@ -246,23 +246,24 @@ def _sweep_row(index: int, group_name: str, A: SkewBrace, desc_bound: int) -> di
 
 
 def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
-    """The body of a forked sweep worker: write the rows of ``tasks``, or the
-    exception one of them raised, to the pipe ``w`` as one pickled message,
-    then end the process.  It never returns into the caller, so it never
-    flushes the parent's stdio buffers or runs its ``atexit`` handlers; any
-    failure to send ends it with status 1."""
-    import pickle
-
+    """The body of a forked sweep worker: write the rows of ``tasks`` to the
+    pipe ``w`` as one JSON message, or, if one of them raised, a zero byte
+    followed by the pickled exception, then end the process.  It never
+    returns into the caller, so it never flushes the parent's stdio buffers
+    or runs its ``atexit`` handlers; any failure to send ends it with
+    status 1."""
     status = 1
     try:
         for fd in inherited:  # the parent's read ends: closing one must fail its writer
             os.close(fd)
         try:
-            message = (True, [_sweep_row(*t) for t in tasks])
+            message = json.dumps([_sweep_row(*t) for t in tasks]).encode()
         except Exception as exc:
-            message = (False, exc)
+            import pickle  # only a row that raised needs it
+
+            message = b"\0" + pickle.dumps(exc)
         with open(w, "wb") as pipe:
-            pipe.write(pickle.dumps(message))
+            pipe.write(message)
         status = 0
     finally:
         os._exit(status)
@@ -271,7 +272,11 @@ def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
 def _forked_rows(tasks: list, workers: int) -> list[dict]:
     """The rows of ``tasks`` in order, cut into ``workers`` contiguous
     slices: slices 1, 2, … each in a forked child, slice 0 here.  At one
-    worker nothing is forked and every row is computed here."""
+    worker nothing is forked and every row is computed here.  A worker's
+    message is JSON (it starts with ``[``) unless its first byte is zero,
+    which marks the pickled exception of a row that raised, re-raised here
+    as is.  Rows round-trip through JSON exactly: they hold only str keys,
+    ints, strs, bools and lists."""
     cut = [k * len(tasks) // workers for k in range(workers + 1)]
     pids: list[int] = []
     reads: list[int] = []
@@ -296,12 +301,11 @@ def _forked_rows(tasks: list, workers: int) -> list[dict]:
             if status or not message:
                 raise RuntimeError(f"a sweep worker ended with wait status {status} "
                                    f"after sending {len(message)} bytes")
-            import pickle  # only a worker's message needs it
+            if message[0] == 0:
+                import pickle  # only a worker whose row raised needs it
 
-            ok, value = pickle.loads(message)
-            if not ok:
-                raise value
-            rows += value
+                raise pickle.loads(message[1:])
+            rows += json.loads(message)
         return rows
     finally:
         # Close the read ends first: a child blocked writing into a full
@@ -322,8 +326,9 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
     entries, so the entries of one additive group, and that group's memos,
     mostly stay in one process.  Workers 1, 2, … are forked after the
     catalog is loaded: they inherit it, its verified groups and every memo,
-    so nothing is sent to them, and each sends its rows back as one
-    pickled message over a pipe.  The caller computes slice 0 itself and
+    so nothing is sent to them, and each sends its rows back as one JSON
+    message over a pipe (``pickle`` is loaded only to send back the
+    exception of a row that raised).  The caller computes slice 0 itself and
     joins the slices in catalog order.  Each row depends only on its
     entry, so the rows, and the output bytes, are the same for every
     ``jobs``.  A worker's exception is re-raised as is; a worker that exits

@@ -25,6 +25,7 @@ from .catalog import METHOD, BraceCatalog, catalog_invariant_sweep, enumerate_br
 from .formats import (
     InputFormatError,
     brace_payload,
+    dump,
     dumps,
     load_brace,
     load_solution,
@@ -78,16 +79,15 @@ def _writing(path):
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(payload, out: Optional[str], what: str) -> None:
-    """Write ``payload`` as canonical JSON to the file ``out`` and say so, or
-    print it when no file is given."""
-    text = dumps(payload)
+def _emit(payload, out: Optional[str] = None, what: str = "") -> None:
+    """Stream ``payload`` as canonical JSON to the file ``out`` and say so,
+    or to stdout when no file is given."""
     if out:
-        with _writing(out):
-            Path(out).write_text(text)
+        with _writing(out), open(out, "w") as fp:
+            dump(payload, fp)
         print(f"wrote {what} to {out}")
     else:
-        print(text, end="")
+        dump(payload, sys.stdout)
 
 
 def _cmd_verify(args) -> int:
@@ -108,7 +108,7 @@ def _cmd_report(args) -> int:
     A = load_brace(args.brace)
     payload = brace_report(A)
     if args.json:
-        print(dumps(payload), end="")
+        _emit(payload)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -220,7 +220,7 @@ def _cmd_theoremcheck(args) -> int:
         rows.append(row)
         any_failed = any_failed or any(c.failed for c in checks)
     if args.json:
-        print(dumps(rows), end="")
+        _emit(rows)
     else:
         for row in rows:
             print(f"{row['brace']} (order {row['order']})")

@@ -8,11 +8,14 @@ from typing import Union
 
 from .braces import DEFAULT_PRODUCT_BOUND, SkewBrace, verify_brace
 from .groups import BoundExceededError
-from .ybe import SetSolution, make_solution
+from .ybe import SetSolution
 
 # The largest order or size a file may declare, checked before any table is
 # read: the product bound, so every table bracekit builds can be loaded back.
 MAX_INPUT_ORDER = DEFAULT_PRODUCT_BOUND
+# The canonical JSON of every payload bracekit writes: sorted keys and a
+# two-space indent, followed by one newline.
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class InputFormatError(ValueError):
@@ -78,7 +81,8 @@ def load_solution(path: Union[str, Path]) -> SetSolution:
     n = _declared_order(payload, "size")
     sigma = _check_table(payload, "sigma", n)
     tau = _check_table(payload, "tau", n)
-    return make_solution(sigma, tau)
+    # _check_table has checked every entry, as ybe.make_solution would.
+    return SetSolution(n, tuple(map(tuple, sigma)), tuple(map(tuple, tau)))
 
 
 def solution_payload(S: SetSolution) -> dict:
@@ -90,5 +94,13 @@ def solution_payload(S: SetSolution) -> dict:
 
 
 def dumps(payload) -> str:
-    """Canonical JSON used everywhere: sorted keys, stable separators."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON text of ``payload``: sorted keys, stable separators."""
+    return _CANONICAL.encode(payload) + "\n"
+
+
+def dump(payload, fp) -> None:
+    """Write ``dumps(payload)`` to the text file ``fp`` piece by piece, so
+    the whole text is never held in memory."""
+    for chunk in _CANONICAL.iterencode(payload):
+        fp.write(chunk)
+    fp.write("\n")

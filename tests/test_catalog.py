@@ -316,11 +316,16 @@ def test_sweep_order_6_all_weight_one():
         assert bucket["fail"] == 0, name
 
 
-def test_sweep_parallel_output_identical():
-    cat = enumerate_braces(6)
-    serial = catalog_invariant_sweep(cat, jobs=1)
-    parallel = catalog_invariant_sweep(cat, jobs=4)
-    assert dumps(serial) == dumps(parallel)
+def test_sweep_parallel_output_identical(monkeypatch):
+    """At every order the forked rows, sent back as JSON, equal the serial
+    ones as values (no tuple comes back as a list) and as output text."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n in range(1, MAX_ORDER + 1):
+        cat = enumerate_braces(n)
+        serial = catalog_invariant_sweep(cat, jobs=1)
+        parallel = catalog_invariant_sweep(cat, jobs=2)
+        assert parallel == serial and dumps(parallel) == dumps(serial), n
+    _assert_no_child_left()
 
 
 def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):

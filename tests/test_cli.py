@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -7,12 +8,14 @@ import pytest
 
 from bracekit.braces import trivial_brace
 from bracekit import cli
+from bracekit.catalog import catalog_invariant_sweep, enumerate_braces
 from bracekit.cli import build_parser, main
 from bracekit import invariants
 from bracekit.formats import (
     MAX_INPUT_ORDER,
     InputFormatError,
     brace_payload,
+    dump,
     dumps,
     load_brace,
     load_solution,
@@ -147,6 +150,22 @@ def test_enumerate_with_manifest(tmp_path, capsys):
         assert payload["order"] == 4
         # every emitted file loads back as a valid brace via the CLI
         assert main(["verify", str(out_dir / fname)]) == 0
+
+
+def test_dump_writes_the_dumps_text(capsys):
+    """``dump`` streams exactly the text of ``dumps``, as ``theoremcheck
+    --json`` prints it, on a sweep, a theoremcheck, a report and a solution
+    payload."""
+    assert main(["theoremcheck", "corpus:4", "--json"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)
+    assert out == dumps(rows)
+    A = radical_ring_brace()
+    for payload in (catalog_invariant_sweep(enumerate_braces(8)), rows,
+                    invariants.brace_report(A), solution_payload(solution_from_brace(A))):
+        fp = io.StringIO()
+        dump(payload, fp)
+        assert fp.getvalue() == dumps(payload)
 
 
 def test_sweep_to_file(tmp_path, capsys):

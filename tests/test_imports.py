@@ -109,11 +109,18 @@ def test_cli_start_up_loads_no_dataclasses():
 
 
 def test_parallel_sweep_loads_no_process_pool(tmp_path):
-    """``sweep 8 --jobs 2`` forks its worker without ``concurrent.futures``
-    or ``multiprocessing``; ``pickle`` shows that the parallel path ran."""
+    """``sweep 8 --jobs 2`` forks its one worker (counted at ``os.fork``)
+    without ``concurrent.futures`` or ``multiprocessing``, and with every
+    row succeeding neither process loads ``pickle``: the rows come back as
+    JSON.  The worker ends through ``os._exit``, wrapped here to fail it if
+    ``pickle`` was loaded, which makes the sweep exit 4."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent),
            "BRACEKIT_CACHE": str(tmp_path / "cache")}
-    code = ("import os; os.cpu_count = lambda: 2; from bracekit.cli import main; "
-            f"assert main(['sweep', '8', '--jobs', '2', '--out', {str(tmp_path / 's.json')!r}]) == 0")
+    code = ("import os, sys; os.cpu_count = lambda: 2; forks = []; fork, exit_ = os.fork, os._exit; "
+            "os.fork = lambda: forks.append(1) or fork(); "
+            "os._exit = lambda status: exit_(status or 'pickle' in sys.modules); "
+            "from bracekit.cli import main; "
+            f"assert main(['sweep', '8', '--jobs', '2', '--out', {str(tmp_path / 's.json')!r}]) == 0; "
+            "assert forks == [1]")
     names = {"pickle", "concurrent.futures", "multiprocessing"}
-    assert _modules_loaded_by(code, names, env) == ["pickle"]
+    assert _modules_loaded_by(code, names, env) == []
