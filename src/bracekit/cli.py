@@ -8,12 +8,15 @@ Invalid input is recognized where it enters: a bad file, a table failing a
 group or brace axiom, an order without a catalog, a degenerate solution
 given to a command that needs a non-degenerate one, or an output path that
 cannot be written.  Any other exception, a stray ``ValueError`` from inside
-the library included, exits 4.
+the library included, exits 4.  A reader that closes stdout before a JSON
+payload is written, as ``| head`` may, drops the rest of it but does not
+change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -87,7 +90,13 @@ def _emit(payload, out: Optional[str] = None, what: str = "") -> None:
             dump(payload, fp)
         print(f"wrote {what} to {out}")
     else:
-        dump(payload, sys.stdout)
+        try:
+            dump(payload, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone (see the module docstring).  What is still
+            # buffered goes to os.devnull, so the flush at exit cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_verify(args) -> int:

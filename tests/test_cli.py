@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -377,6 +378,19 @@ def test_console_entry_point(ring_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid skew brace" in proc.stdout
+
+
+def test_stdout_closed_by_its_reader_keeps_the_exit_code():
+    """A reader that closes stdout before the JSON is written, as ``| head``
+    may, loses the output but not the verdict: no internal error."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bracekit.cli", "sweep", "8"],
+                              stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _outcome(argv, capsys):
