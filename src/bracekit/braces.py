@@ -18,6 +18,7 @@ from .groups import (
     _Value,
     _raw_identity,
     _semidirect_group,
+    _verified,
     element_orders,
     generating_sequence,
     is_abelian,
@@ -128,6 +129,11 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     checking c over ``generating_sequence(add)`` is therefore exact, at
     O(n²k) cost.  If a generator fails, the full lexicographic O(n³) scan
     runs and raises its first failing triple, so the witness is the scan's.
+
+    The compatibility check runs on every call.  A pair that passes comes
+    back interned (``_brace_of``); one that fails is never interned, and a
+    pair with an int-subclass (bool) entry bypasses the interning, as in
+    ``verify_group_axioms``, so it comes back as given.
     """
     if len(add_table) != len(circle_table):
         raise BraceAxiomError("shape", (), "add and circle tables have different sizes")
@@ -140,23 +146,27 @@ def verify_brace(add_table: Sequence[Sequence[int]],
             "identity-mismatch", (raw_add_identity, raw_circle_identity),
             f"additive identity is {raw_add_identity} but multiplicative identity is {raw_circle_identity}")
 
-    add = verify_group_axioms(add_table)
-    circle = verify_group_axioms(circle_table)
+    add, add_interned = _verified(add_table)
+    circle, circle_interned = _verified(circle_table)
 
-    A = _brace_of(add, circle)
     gens = generating_sequence(add)
     if not all(lam_a[add_b[c]] == add.table[lam_a[b]][lam_a[c]]
-               for lam_a in A.lam for b, add_b in enumerate(add.table) for c in gens):
+               for lam_a in _lambda_rows(add, circle) for b, add_b in enumerate(add.table) for c in gens):
         _compatibility_scan(add, circle)
-    return A
+    return (_brace_of if add_interned and circle_interned else _brace_of.__wrapped__)(add, circle)
 
 
+def _lambda_rows(add: FiniteGroup, circle: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The rows of λ, λ_a(b) = -a + a∘b, one a at a time."""
+    return (tuple(map(add.table[add.inverse[a]].__getitem__, circle.table[a]))
+            for a in add.elements())
+
+
+@lru_cache(maxsize=None)
 def _brace_of(add: FiniteGroup, circle: FiniteGroup) -> SkewBrace:
-    """The SkewBrace of two groups known to be compatible, unchecked; λ_a(b) = -a + a∘b."""
-    return SkewBrace(add=add, circle=circle, lam=tuple(
-        tuple(map(add.table[add.inverse[a]].__getitem__, circle.table[a]))
-        for a in add.elements()
-    ))
+    """The SkewBrace of two groups known to be compatible, unchecked and
+    interned like ``groups._group_of``."""
+    return SkewBrace(add=add, circle=circle, lam=tuple(_lambda_rows(add, circle)))
 
 
 def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
@@ -175,8 +185,13 @@ def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
-    """The trivial skew brace: both operations equal to G (a(bc) = ab·a⁻¹·ac)."""
-    return _brace_of(G, G)
+    """The trivial skew brace: both operations equal to G (a(bc) = ab·a⁻¹·ac).
+
+    It is interned unless G has an entry of an int subclass such as bool:
+    then it equals its int twin, so it is built outside the intern table
+    and its tables come back as given."""
+    plain = all(set(map(type, row)) == {int} for row in G.table)
+    return (_brace_of if plain else _brace_of.__wrapped__)(G, G)
 
 
 def zero_brace() -> SkewBrace:

@@ -174,8 +174,9 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
     i-th group G of ``groups_of_order(n)``, and each is verified as a brace
     on G's own table.  A file that is not a JSON object, was written by
     another version or for another order or method, lists another number
-    of groups or another total than ``BRACE_COUNTS`` is a miss, as is any
-    table that fails verification.  So is a group whose circle tables are
+    of groups or another total than ``BRACE_COUNTS`` is a miss, as is one
+    that is not UTF-8 or nests too deeply to parse, and any table that
+    fails verification.  So is a group whose circle tables are
     not strictly increasing, as ``_build_catalog`` writes them: a repeated
     class is caught, and with the pinned total so is a dropped one.  Tables
     are not checked to be in canonical form.
@@ -193,7 +194,7 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
                 any(not a < b for c in circles for a, b in zip(c, c[1:])):
             return None
         return _catalog(n, groups, [[verify_brace(G.table, t) for t in c] for c, (_, G) in zip(circles, groups)])
-    except (LookupError, TypeError, ValueError, GroupAxiomError, BraceAxiomError):
+    except (LookupError, TypeError, ValueError, RecursionError, GroupAxiomError, BraceAxiomError):
         return None
 
 

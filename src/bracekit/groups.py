@@ -34,8 +34,11 @@ class _Value:
     """Base of the immutable memo keys, which store their hash when built:
     every memo lookup hashes its key, and tuple tables do not cache theirs.
     A subclass lists its fields, then ``_hash``, in ``__slots__``, sets them
-    with ``_set`` and writes a direct ``__eq__`` (memo hits on equal but
-    distinct keys call it often), comparing stored hashes before fields."""
+    with ``_set`` and writes a direct ``__eq__`` that tries identity first,
+    then stored hashes, then fields.  Groups and braces are interned by
+    value (``_group_of``, ``braces._brace_of``), so a memo hit on an equal
+    key is mostly a hit on the same object; equality and hashing still go
+    by value, as for copies, pickles and int-subclass tables."""
 
     __slots__ = ()
 
@@ -132,10 +135,17 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     The shape check runs on every call.  The rest is memoized on the table
     as a tuple of tuples: after the shape check every entry is an int index,
     so equal keys are equal tables (a float such as 1.0 hashes like 1 but
-    never gets past the shape check).  Tables with an entry of an int
-    subclass such as bool bypass the memo, so they come back as given.
-    Failures raise and are never cached.
+    never gets past the shape check).  The group is interned (``_group_of``).
+    Tables with an entry of an int subclass such as bool bypass the memo and
+    the interning, so they come back as given.  Failures raise and are never
+    cached or interned.
     """
+    return _verified(table)[0]
+
+
+def _verified(table: Sequence[Sequence[int]]) -> tuple[FiniteGroup, bool]:
+    """``verify_group_axioms``, and whether the group is interned: it is not
+    when an entry has an int subclass such as bool."""
     n = len(table)
     if n == 0:
         raise GroupAxiomError("shape", (), "empty table")
@@ -150,12 +160,18 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
                 raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}, not an index in 0..{n - 1}")
         plain_ints = False  # an int subclass, such as bool
     tab = tuple(tuple(row) for row in table)
-    return (_verify_shaped if plain_ints else _verify_shaped.__wrapped__)(tab)
+    return (_verify_shaped(tab), True) if plain_ints else (_checked_group(tab), False)
 
 
 @lru_cache(maxsize=None)
 def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
-    """The checks of ``verify_group_axioms`` after the shape check."""
+    """The interned group of ``_checked_group``, for a table of plain ints."""
+    return _group_of(_checked_group(table).table)
+
+
+def _checked_group(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """The checks of ``verify_group_axioms`` after the shape check; the
+    group comes back relabeled and not interned."""
     n = len(table)
     identity = _raw_identity(table)
     if identity is None:
@@ -179,7 +195,7 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         perm[0], perm[identity] = identity, 0
         tab = relabel_table(tab, perm)
 
-    G = _group_of(tab)
+    G = _group_of.__wrapped__(tab)
 
     # Light's test on the relabeled table, which is associative exactly when
     # the raw one is; the scan reports its witness in raw indices.
@@ -191,12 +207,14 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
     return G
 
 
-def _group_of(table: Iterable[Iterable[int]]) -> FiniteGroup:
+@lru_cache(maxsize=None)
+def _group_of(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
     """The FiniteGroup of a table already known to be a group with identity
-    0, unchecked.  Each row is a permutation and a right inverse is the
-    inverse, so inverse[a] = table[a].index(0)."""
-    tab = tuple(tuple(row) for row in table)
-    return FiniteGroup(order=len(tab), table=tab, inverse=tuple(row.index(0) for row in tab))
+    0, unchecked and interned: every call with an equal table gets the one
+    object built first, so its memoized invariants are computed once.  Each
+    row is a permutation and a right inverse is the inverse, so
+    inverse[a] = table[a].index(0)."""
+    return FiniteGroup(order=len(table), table=table, inverse=tuple(row.index(0) for row in table))
 
 
 def _semidirect_group(N: FiniteGroup, K: FiniteGroup,
@@ -210,10 +228,10 @@ def _semidirect_group(N: FiniteGroup, K: FiniteGroup,
     nothing is checked.  The identity action gives N × K.
     """
     m = K.order
-    return _group_of(
+    return _group_of(tuple(
         tuple(N.table[n1][act[n2]] * m + k for n2 in N.elements() for k in K.table[k1])
         for n1 in N.elements() for k1, act in zip(K.elements(), action)
-    )
+    ))
 
 
 def _associativity_scan(table: Sequence[Sequence[int]]) -> None:
@@ -556,7 +574,7 @@ def _cosets(G: FiniteGroup, N: frozenset[int]) -> tuple[FiniteGroup, tuple[int, 
             for x in N:
                 coset_of[G.table[a][x]] = len(reps)
             reps.append(a)
-    table = [[coset_of[G.table[r][s]] for s in reps] for r in reps]
+    table = tuple(tuple(coset_of[G.table[r][s]] for s in reps) for r in reps)
     return _group_of(table), tuple(coset_of[a] for a in G.elements())
 
 

@@ -160,12 +160,12 @@ def sub_brace(A: SkewBrace, S: frozenset[int]) -> tuple[SkewBrace, tuple[int, ..
         if A.neg(x) not in pos:
             raise ValueError(f"subset not closed under negation at {x}")
         add_row, circ_row = A.add.table[x], A.circle.table[x]
-        add.append([pos.get(add_row[y]) for y in members])
-        circ.append([pos.get(circ_row[y]) for y in members])
+        add.append(tuple(pos.get(add_row[y]) for y in members))
+        circ.append(tuple(pos.get(circ_row[y]) for y in members))
         if None in add[-1] or None in circ[-1]:
             y = next(y for y, s, c in zip(members, add[-1], circ[-1]) if s is None or c is None)
             raise ValueError(f"subset not closed at ({x},{y})")
-    return _brace_of(_group_of(add), _group_of(circ)), tuple(members)
+    return _brace_of(_group_of(tuple(add)), _group_of(tuple(circ))), tuple(members)
 
 
 @lru_cache(maxsize=None)

@@ -20,9 +20,17 @@ from bracekit.braces import (
     zero_brace,
 )
 from bracekit.catalog import _build_catalog, enumerate_braces
-from bracekit.groups import BoundExceededError, FiniteGroup, GroupAxiomError, abelian_invariants
-from bracekit.grouptables import cyclic, dihedral
-from bracekit.ideals import a2, all_ideals
+from bracekit.groups import (
+    BoundExceededError,
+    FiniteGroup,
+    GroupAxiomError,
+    _cosets,
+    abelian_invariants,
+    quotient_group,
+    verify_group_axioms,
+)
+from bracekit.grouptables import cyclic, dihedral, direct_product_group
+from bracekit.ideals import _brace_cosets, a2, all_ideals, quotient_brace, sub_brace
 
 from conftest import brute_brace_automorphisms, klein_group, radical_ring_brace
 
@@ -210,12 +218,12 @@ def catalog() -> tuple[SkewBrace, ...]:
 
 def test_braces_and_groups_are_values():
     """Every catalog brace of order <= 12 and its two groups: a rebuild from
-    the same tables equals the original and hashes alike, as do pickle and
-    deep-copy round trips; distinct entries are unequal."""
+    the same tables is the original (braces and groups are interned), and a
+    copy built by the constructor, by pickle or by deep copy equals it and
+    hashes alike; distinct entries are unequal."""
     braces = catalog()
     for A in braces:
-        B = verify_brace([list(r) for r in A.add.table], [list(r) for r in A.circle.table])
-        assert B is not A and B == A and hash(B) == hash(A)
+        assert verify_brace([list(r) for r in A.add.table], [list(r) for r in A.circle.table]) is A
         for G in (A.add, A.circle):
             H = FiniteGroup(order=G.order, table=tuple(tuple(list(r)) for r in G.table),
                             inverse=tuple(list(G.inverse)))
@@ -226,6 +234,37 @@ def test_braces_and_groups_are_values():
     assert all(A != B for A, B in itertools.combinations(braces, 2))
     groups = {G for A in braces for G in (A.add, A.circle)}
     assert len(groups) == len({G.table for G in groups})
+
+
+def test_every_constructor_path_returns_the_interned_object():
+    """Each path that builds a group or a brace hands back the one object
+    for its value: the quotient by {0} and the sub-brace on every element
+    are A itself, a trivial brace is the verified one, and a product built
+    twice, also from copies of its factors, is built once."""
+    for A in catalog():
+        full = frozenset(A.elements())
+        for G in (A.add, A.circle):
+            copy_of_G = pickle.loads(pickle.dumps(G))
+            assert copy_of_G is not G
+            assert verify_group_axioms([list(r) for r in G.table]) is G
+            assert _cosets(copy_of_G, frozenset({0}))[0] is G
+            assert quotient_group(G, full)[0] is cyclic(1)
+            assert trivial_brace(copy_of_G) is trivial_brace(G) is verify_brace(G.table, G.table)
+        assert _brace_cosets(A, frozenset({0}))[0] is A
+        assert quotient_brace(A, full)[0] is zero_brace()
+        assert sub_brace(A, full)[0] is A
+        for I in all_ideals(A):
+            Q = quotient_brace(A, I)[0]
+            assert verify_brace(Q.add.table, Q.circle.table) is Q
+            assert sub_brace(Q, frozenset(Q.elements()))[0] is Q
+    C2, C3 = cyclic(2), cyclic(3)
+    P = direct_product_group(C2, C3)
+    assert direct_product_group(pickle.loads(pickle.dumps(C2)), C3) is P
+    assert verify_group_axioms(P.table) is P
+    A, B = catalog()[3], catalog()[4]
+    D = direct_product(A, B)
+    assert direct_product(copy.deepcopy(A), copy.deepcopy(B)) is D
+    assert verify_brace(D.add.table, D.circle.table) is D
 
 
 def test_braces_and_groups_are_immutable():

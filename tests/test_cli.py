@@ -331,6 +331,38 @@ def test_json_booleans_exit_2(command, payload, tmp_path, capsys):
     assert "false" not in captured.out
 
 
+# Bytes that are not UTF-8, and JSON nested past the parser's recursion limit.
+HOSTILE_FILES = {"not-utf-8": b"\xff\xfe\x00", "over-deep": b"[" * 100000}
+
+
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+@pytest.mark.parametrize("loader", [load_brace, load_solution])
+def test_loaders_reject_undecodable_and_over_deep_files(loader, content, tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    with pytest.raises(InputFormatError):
+        loader(path)
+
+
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+@pytest.mark.parametrize("command", [["verify"], ["report"], ["ybe", "check"]])
+def test_undecodable_and_over_deep_files_exit_2(command, content, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == cli.EXIT_INVALID_INPUT == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+def test_undecodable_or_over_deep_cache_file_is_a_miss_and_is_replaced(content, tmp_path,
+                                                                       monkeypatch, capsys):
+    monkeypatch.setenv("BRACEKIT_CACHE", str(tmp_path))
+    path = tmp_path / "braces_4_holomorph.json"
+    path.write_bytes(content)
+    assert main(["enumerate", "4"]) == 0
+    assert [len(c) for c in json.loads(path.read_text())["circles"]] == [2, 2]
+
+
 def test_ybe_check(swaps_path, capsys):
     assert main(["ybe", "check", swaps_path]) == 0
     out = capsys.readouterr().out

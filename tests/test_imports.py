@@ -82,6 +82,7 @@ def test_every_memo_can_hit():
     idle = [name for name in sorted(memoized) if len(uses.get(name, [])) == 1
             and uses[name][0][0] in memoized and uses[name][0][1]]
     assert idle == []
+    assert {"_group_of", "_brace_of"} <= memoized  # the intern tables
 
 
 def _modules_loaded_by(code: str, names: set, env: dict) -> list:

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from bracekit.braces import (
     BraceAxiomError,
     SkewBrace,
+    _brace_of,
     check_star_identities,
     direct_product,
+    trivial_brace,
     verify_brace,
 )
 from bracekit.catalog import _build_catalog
 from bracekit.groups import (
     GroupAxiomError,
+    _group_of,
     all_normal_subgroups,
     quotient_group,
     relabel_table,
@@ -224,6 +227,45 @@ def test_bool_entries_come_back_as_given():
     assert verify_group_axioms(table).table == ((0, 1), (1, 0))
     G = verify_group_axioms([[0, True], [True, 0]])
     assert type(G.table[0][1]) is bool
+
+
+def test_bool_pairs_bypass_the_brace_intern_table():
+    """A pair with bool entries equals its int twin, so it is kept out of
+    the intern table: each call builds its own brace with the bools given,
+    and the int pair still gets the interned brace."""
+    table = [[0, 1], [1, 0]]
+    A = verify_brace(table, table)
+    memos = (_group_of.cache_info().currsize, _brace_of.cache_info().currsize)
+    bools = [[0, True], [True, 0]]
+    for B in (verify_brace(bools, table), verify_brace(table, bools), trivial_brace(verify_group_axioms(bools))):
+        assert B == A and B is not A
+        assert True in {type(x) is bool for G in (B.add, B.circle) for row in G.table for x in row}
+    assert (_group_of.cache_info().currsize, _brace_of.cache_info().currsize) == memos
+    assert verify_brace(table, table) is A and type(A.add.table[0][1]) is int
+
+
+def test_rejected_tables_and_pairs_never_enter_the_intern_tables():
+    """A mutated group table, a loop that is not associative, and a pair of
+    two verified groups that are not compatible raise on every call, and
+    neither intern table grows."""
+    A = next(A for A in catalog() if A.order == 8 and A.add != A.circle)
+    circle = next(C.circle.table for C in catalog() if C.order == 8
+                  and outcome(oracle_verify_brace, A.add.table, C.circle.table)[0] is BraceAxiomError)
+    bad_group = mutate(A.circle.table, 2, 3, A.circle.table[2][4])
+    bad_product = mutate(A.circle.table, 1, 1, A.circle.table[1][1] ^ 1)
+    loops = (random_loop(6, random.Random(seed)) for seed in range(100))
+    loop = next(L for L in loops if outcome(oracle_verify_group_axioms, L)[1] == "associativity")
+    memos = (_group_of.cache_info().currsize, _brace_of.cache_info().currsize)
+    for _ in range(2):
+        for add, circ, error in ((A.add.table, circle, BraceAxiomError),
+                                 (A.add.table, bad_group, GroupAxiomError),
+                                 (bad_product, bad_product, GroupAxiomError)):
+            with pytest.raises(error):
+                verify_brace(add, circ)
+        for table in (bad_group, loop):
+            with pytest.raises(GroupAxiomError):
+                verify_group_axioms(table)
+    assert (_group_of.cache_info().currsize, _brace_of.cache_info().currsize) == memos
 
 
 def test_mutated_verified_brace_is_rejected_with_the_oracle_witness():
