@@ -18,7 +18,6 @@ from .groups import (
     _Value,
     _raw_identity,
     _semidirect_group,
-    _verified,
     element_orders,
     generating_sequence,
     is_abelian,
@@ -131,9 +130,7 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     runs and raises its first failing triple, so the witness is the scan's.
 
     The compatibility check runs on every call.  A pair that passes comes
-    back interned (``_brace_of``); one that fails is never interned, and a
-    pair with an int-subclass (bool) entry bypasses the interning, as in
-    ``verify_group_axioms``, so it comes back as given.
+    back interned (``_brace_of``); one that fails is never interned.
     """
     if len(add_table) != len(circle_table):
         raise BraceAxiomError("shape", (), "add and circle tables have different sizes")
@@ -146,14 +143,14 @@ def verify_brace(add_table: Sequence[Sequence[int]],
             "identity-mismatch", (raw_add_identity, raw_circle_identity),
             f"additive identity is {raw_add_identity} but multiplicative identity is {raw_circle_identity}")
 
-    add, add_interned = _verified(add_table)
-    circle, circle_interned = _verified(circle_table)
+    add = verify_group_axioms(add_table)
+    circle = verify_group_axioms(circle_table)
 
     gens = generating_sequence(add)
     if not all(lam_a[add_b[c]] == add.table[lam_a[b]][lam_a[c]]
                for lam_a in _lambda_rows(add, circle) for b, add_b in enumerate(add.table) for c in gens):
         _compatibility_scan(add, circle)
-    return (_brace_of if add_interned and circle_interned else _brace_of.__wrapped__)(add, circle)
+    return _brace_of(add, circle)
 
 
 def _lambda_rows(add: FiniteGroup, circle: FiniteGroup) -> Iterator[tuple[int, ...]]:
@@ -185,13 +182,8 @@ def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
-    """The trivial skew brace: both operations equal to G (a(bc) = ab·a⁻¹·ac).
-
-    It is interned unless G has an entry of an int subclass such as bool:
-    then it equals its int twin, so it is built outside the intern table
-    and its tables come back as given."""
-    plain = all(set(map(type, row)) == {int} for row in G.table)
-    return (_brace_of if plain else _brace_of.__wrapped__)(G, G)
+    """The trivial skew brace: both operations equal to G (a(bc) = ab·a⁻¹·ac)."""
+    return _brace_of(G, G)
 
 
 def zero_brace() -> SkewBrace:

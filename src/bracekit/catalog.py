@@ -176,10 +176,11 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
     another version or for another order or method, lists another number
     of groups or another total than ``BRACE_COUNTS`` is a miss, as is one
     that is not UTF-8 or nests too deeply to parse, and any table that
-    fails verification.  So is a group whose circle tables are
-    not strictly increasing, as ``_build_catalog`` writes them: a repeated
-    class is caught, and with the pinned total so is a dropped one.  Tables
-    are not checked to be in canonical form.
+    fails verification, such as one with a JSON ``true`` or ``false`` entry.
+    So is a group whose circle tables are not strictly increasing, as
+    ``_build_catalog`` writes them: a repeated class is caught, and with the
+    pinned total so is a dropped one.  Tables are not checked to be in
+    canonical form.
     """
     path = _cache_path(n)
     if not path.is_file():

@@ -38,7 +38,7 @@ class _Value:
     then stored hashes, then fields.  Groups and braces are interned by
     value (``_group_of``, ``braces._brace_of``), so a memo hit on an equal
     key is mostly a hit on the same object; equality and hashing still go
-    by value, as for copies, pickles and int-subclass tables."""
+    by value, as for copies and pickles."""
 
     __slots__ = ()
 
@@ -115,7 +115,7 @@ def _raw_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
 
 
 def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Validate a Cayley table and return a FiniteGroup with identity 0.
+    """Validate a Cayley table and return its interned group, identity at 0.
 
     Checks, in order: shape, existence of a two-sided identity, existence of
     inverses, the Latin-square property, and associativity.  Raises
@@ -132,46 +132,30 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     lexicographic O(n³) scan runs and raises its first failing triple, so
     the witness is the scan's.
 
-    The shape check runs on every call.  The rest is memoized on the table
-    as a tuple of tuples: after the shape check every entry is an int index,
-    so equal keys are equal tables (a float such as 1.0 hashes like 1 but
-    never gets past the shape check).  The group is interned (``_group_of``).
-    Tables with an entry of an int subclass such as bool bypass the memo and
-    the interning, so they come back as given.  Failures raise and are never
-    cached or interned.
+    The shape check runs on every call.  An entry passes it exactly when
+    ``type(v) is int`` and 0 <= v < n, as in the file loaders, so a bool or
+    a float is refused and equal memo keys are equal tables.  The rest is
+    memoized on the table as a tuple of tuples.  Failures are never cached
+    or interned.
     """
-    return _verified(table)[0]
-
-
-def _verified(table: Sequence[Sequence[int]]) -> tuple[FiniteGroup, bool]:
-    """``verify_group_axioms``, and whether the group is interned: it is not
-    when an entry has an int subclass such as bool."""
     n = len(table)
     if n == 0:
         raise GroupAxiomError("shape", (), "empty table")
-    plain_ints = True
     for a, row in enumerate(table):
         if len(row) != n:
             raise GroupAxiomError("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
         if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
             continue
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}, not an index in 0..{n - 1}")
-        plain_ints = False  # an int subclass, such as bool
-    tab = tuple(tuple(row) for row in table)
-    return (_verify_shaped(tab), True) if plain_ints else (_checked_group(tab), False)
+    return _verify_shaped(tuple(tuple(row) for row in table))
 
 
 @lru_cache(maxsize=None)
 def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
-    """The interned group of ``_checked_group``, for a table of plain ints."""
-    return _group_of(_checked_group(table).table)
-
-
-def _checked_group(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
-    """The checks of ``verify_group_axioms`` after the shape check; the
-    group comes back relabeled and not interned."""
+    """The checks of ``verify_group_axioms`` after the shape check.  The group
+    is built unchecked for Light's test and interned once every check passed."""
     n = len(table)
     identity = _raw_identity(table)
     if identity is None:
@@ -195,16 +179,14 @@ def _checked_group(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         perm[0], perm[identity] = identity, 0
         tab = relabel_table(tab, perm)
 
-    G = _group_of.__wrapped__(tab)
-
     # Light's test on the relabeled table, which is associative exactly when
     # the raw one is; the scan reports its witness in raw indices.
-    for s in generating_sequence(G):
+    for s in generating_sequence(_group_of.__wrapped__(tab)):
         # row (a·s) of the table against the row c ↦ a·(s·c), for every a
         row_s = tab[s]
         if any(tab[row[s]] != tuple(map(row.__getitem__, row_s)) for row in tab):
             _associativity_scan(table)
-    return G
+    return _group_of(tab)
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ def make_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) 
             if len(row) != n:
                 raise ValueError(f"{name} row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"{name}[{i}][{j}] = {v!r} is not an index in 0..{n - 1}")
     return SetSolution(n, tuple(tuple(r) for r in sigma), tuple(tuple(r) for r in tau))
 
@@ -116,13 +116,12 @@ def check_solution(S: SetSolution) -> SolutionReport:
 def solution_from_brace(A: SkewBrace) -> SetSolution:
     """The canonical solution r(a,b) = (lambda_a(b), lambda_a(b)' ∘ a ∘ b)."""
     n = A.order
-    sigma = tuple(tuple(A.lam[a][b] for b in range(n)) for a in range(n))
     tau = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             u = A.lam[a][b]
             tau[b][a] = A.circ(A.circ_inv(u), A.circ(a, b))
-    return SetSolution(n, sigma, tuple(tuple(r) for r in tau))
+    return SetSolution(n, A.lam, tuple(tuple(r) for r in tau))
 
 
 def derived_solution(S: SetSolution) -> SetSolution:
@@ -186,14 +185,14 @@ def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ..
     return len(orbits) == 1, orbits
 
 
-def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     """Breadth-first closure of a set of permutations under composition.
 
     Raises ``BoundExceededError`` once the closure would store more than
     ``PERMUTATION_CLOSURE_BOUND`` integers.
     """
     identity = tuple(range(n))
-    gens = sorted({tuple(g) for g in generators})
+    gens = {tuple(g) for g in generators}
     limit = PERMUTATION_CLOSURE_BOUND // max(n, 1)
     group = {identity}
     frontier = [identity]
@@ -210,7 +209,7 @@ def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> list[tupl
                             f"permutation closure exceeded {limit} permutations of {n} points "
                             f"(bound {PERMUTATION_CLOSURE_BOUND} stored integers)")
         frontier = nxt
-    return sorted(group)
+    return group
 
 
 def permutation_group(S: SetSolution) -> PermutationGroupSummary:

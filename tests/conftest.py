@@ -462,7 +462,7 @@ def oracle_verify_group_axioms(table) -> FiniteGroup:
         if len(row) != n:
             raise GroupAxiomError("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise GroupAxiomError("shape", (a, b), f"entry at row {a}, column {b} is {v!r}")
     identity = _raw_identity(table)
     if identity is None:

@@ -21,7 +21,7 @@ from bracekit.catalog import (
     enumerate_braces,
 )
 from bracekit.cli import main
-from bracekit.formats import dumps
+from bracekit.formats import dumps, load_brace
 from bracekit.groups import (
     BoundExceededError,
     automorphism_group,
@@ -274,6 +274,28 @@ def test_cache_with_a_repeated_class_is_rebuilt(tmp_path, monkeypatch):
         for B in braces[i + 1:]:
             assert brace_isomorphic(A, B) is None
     assert json.loads(path.read_text())["circles"][0][1] != payload["circles"][0][0]
+
+
+def test_cache_with_bool_entries_is_rebuilt(tmp_path, monkeypatch):
+    """A circle table holding JSON true and false for 1 and 0 was served,
+    and ``enumerate --out`` then wrote a brace file that ``load_brace``
+    rejects.  A bool is no index, so the file is a miss and is rewritten
+    with ints."""
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces(2)
+    path = cachedir / "braces_2_holomorph.json"
+    payload = json.loads(path.read_text())
+    assert payload["circles"] == [[[[0, 1], [1, 0]]]]
+    payload["circles"] = [[[[0, True], [True, False]]]]
+    path.write_text(json.dumps(payload, sort_keys=True))
+    assert bracekit.catalog._load_cached(2) is None
+    out = tmp_path / "out"
+    assert main(["enumerate", "2", "--out", str(out)]) == 0
+    assert load_brace(out / "brace_2_000.json") == enumerate_braces(2).braces[0]
+    stored = json.loads(path.read_text())["circles"]
+    assert stored == [[[[0, 1], [1, 0]]]]
+    assert {type(v) for row in stored[0][0] for v in row} == {int}
 
 
 def test_cache_cannot_relabel_an_additive_group(tmp_path, monkeypatch):

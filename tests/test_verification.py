@@ -21,13 +21,13 @@ from bracekit.braces import (
     _brace_of,
     check_star_identities,
     direct_product,
-    trivial_brace,
     verify_brace,
 )
 from bracekit.catalog import _build_catalog
 from bracekit.groups import (
     GroupAxiomError,
     _group_of,
+    _verify_shaped,
     all_normal_subgroups,
     quotient_group,
     relabel_table,
@@ -222,26 +222,26 @@ def test_float_entry_is_rejected_after_the_int_table_was_verified():
         assert exc.value.witness == (1, 2)
 
 
-def test_bool_entries_come_back_as_given():
-    table = [[0, 1], [1, 0]]
-    assert verify_group_axioms(table).table == ((0, 1), (1, 0))
-    G = verify_group_axioms([[0, True], [True, 0]])
-    assert type(G.table[0][1]) is bool
-
-
-def test_bool_pairs_bypass_the_brace_intern_table():
-    """A pair with bool entries equals its int twin, so it is kept out of
-    the intern table: each call builds its own brace with the bools given,
-    and the int pair still gets the interned brace."""
-    table = [[0, 1], [1, 0]]
-    A = verify_brace(table, table)
-    memos = (_group_of.cache_info().currsize, _brace_of.cache_info().currsize)
-    bools = [[0, True], [True, 0]]
-    for B in (verify_brace(bools, table), verify_brace(table, bools), trivial_brace(verify_group_axioms(bools))):
-        assert B == A and B is not A
-        assert True in {type(x) is bool for G in (B.add, B.circle) for row in G.table for x in row}
-    assert (_group_of.cache_info().currsize, _brace_of.cache_info().currsize) == memos
-    assert verify_brace(table, table) is A and type(A.add.table[0][1]) is int
+def test_bool_entries_are_not_indices():
+    """An entry is an index exactly when ``type(v) is int``, as in the file
+    loaders.  A bool in a group table, or in either table of a pair, raises
+    the shape error at the first bool on every call, and no memo grows."""
+    table = [list(row) for row in catalog()[-1].add.table]
+    verify_brace(table, table)
+    one_bool, col = [list(row) for row in table], table[3].index(1)
+    one_bool[3][col] = True
+    two = [[0, 1], [1, 0]]
+    memos = [f.cache_info().currsize for f in (_group_of, _brace_of, _verify_shaped)]
+    for _ in range(2):
+        for bad, other, witness in ((one_bool, table, (3, col)),
+                                    ([[False, True], [True, False]], two, (0, 0)),
+                                    ([[0, True], [True, 0]], two, (0, 1))):
+            for call in (lambda: verify_group_axioms(bad), lambda: verify_brace(bad, other),
+                         lambda: verify_brace(other, bad)):
+                with pytest.raises(GroupAxiomError) as exc:
+                    call()
+                assert (exc.value.axiom, exc.value.witness) == ("shape", witness)
+    assert [f.cache_info().currsize for f in (_group_of, _brace_of, _verify_shaped)] == memos
 
 
 def test_rejected_tables_and_pairs_never_enter_the_intern_tables():

@@ -48,6 +48,8 @@ def test_make_solution_validation():
         make_solution([(0, 1)], [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         make_solution([(0, 2), (1, 0)], [(0, 1), (1, 0)])
+    with pytest.raises(ValueError):
+        make_solution([[0, True], [0, 1]], [[0, 1], [0, 1]])
 
 
 def test_flip_solution():
