@@ -28,6 +28,7 @@ from .groups import (
     GroupAxiomError,
     automorphism_group,
     flat_permutation,
+    orbit,
     search_homs,
     sylow_subgroup,
 )
@@ -112,6 +113,21 @@ def _relabeling(phi: tuple[int, ...]):
     return (itemgetter(*idx) if len(idx) > 1 else tuple), flat_permutation(phi)
 
 
+def _generators(auts: tuple[bytes, ...]) -> list[bytes]:
+    """A generating set S of the group ``auts`` of flat permutations: a
+    greedy pass by decreasing element order keeps each element outside ⟨S⟩
+    (2 of the 20,160 automorphisms of C2⁴).  An ``orbit`` from a member of
+    a group is that group."""
+    k = len(auts)
+    gens: list[bytes] = []
+    members: set[bytes] = set()
+    for phi in sorted(auts, key=lambda phi: -len(orbit(phi, [phi], bytes.translate, k))):
+        if phi not in members:
+            gens.append(phi)
+            members = set(orbit(phi, gens, bytes.translate, k))
+    return gens
+
+
 def _classes(G: FiniteGroup) -> list[SkewBrace]:
     """The braces with additive group G up to isomorphism, each as its
     canonical circle table, in increasing order.
@@ -119,24 +135,26 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     Braces with additive group G are isomorphic exactly when an additive
     automorphism carries one circle table to the other, so a class is an
     Aut(G,+)-orbit of tables, represented by its least member.  Each table
-    not yet seen has its orbit generated once and marked as seen, so the
-    relabelings number classes x |Aut|, not tables x |Aut|.  This is exact
-    without the table list being Aut-stable: every member of an orbit has
-    the same orbit, hence the same minimum, kept when it was first marked;
-    and the search returns a member of every orbit (``_lambda_group``).
-    Tables are relabeled and compared as flat ``bytes``: for tables of one
-    order, bytes order is the order of their rows as tuples.
+    not yet seen has its orbit grown once under the generators S of Aut(G)
+    from ``_generators``, which is its orbit under ⟨S⟩ = Aut(G), and marked
+    as seen: |S| relabelings per orbit member, not |Aut| per class.  This
+    is exact without the table list being Aut-stable: every member of an
+    orbit has the same orbit, hence the same minimum, kept when it was
+    first marked; and the search returns a member of every orbit
+    (``_lambda_group``).  Tables are relabeled and compared as flat
+    ``bytes``: for tables of one order, bytes order is the order of their
+    rows as tuples.
     """
     n = G.order
     auts, tables = _circle_tables_holomorph(G)
-    relabelings = [_relabeling(phi) for phi in auts]
+    relabelings = [_relabeling(phi[:n]) for phi in _generators(tuple(map(flat_permutation, auts)))]
     seen: set[bytes] = set()
     canon = []
     for flat in tables:
         if flat not in seen:
-            orbit = {bytes(take(flat)).translate(p) for take, p in relabelings}
-            seen |= orbit
-            canon.append(min(orbit))
+            members = orbit(flat, relabelings, lambda t, r: bytes(r[0](t)).translate(r[1]), len(auts))
+            seen.update(members)
+            canon.append(min(members))
     return [verify_brace(G.table, [c[i:i + n] for i in range(0, n * n, n)]) for c in sorted(canon)]
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace
-from .groups import BoundExceededError
+from .groups import BoundExceededError, orbit
 
-# Integers a permutation closure may store: permutations times points.  That
-# is 10**6 permutations of 10 points (no group on fewer points reaches 10**6:
-# 9! is below it) and 39,062 permutations of 256 points.
+# Integers the closure of ``permutation_group`` may store: permutations times
+# points.  That is 10**6 permutations of 10 points (no group on fewer points
+# reaches 10**6: 9! is below it) and 39,062 permutations of 256 points.
 PERMUTATION_CLOSURE_BOUND = 10 ** 7
 
 
@@ -157,23 +157,23 @@ def is_quandle(S: SetSolution) -> bool:
 
 
 def _orbits_of_maps(n: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in maps:
-        for x in range(n):
-            a, b = find(x), find(m[x])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
+    """The classes of the least equivalence on 0..n-1 relating each y to
+    every m[y], sorted, in order of least member: the points reached from x
+    (``orbit``) joined with the earlier classes they meet, of which there
+    is none when the maps are permutations."""
+    label: list[Optional[int]] = [None] * n
     for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+        if label[x] is None:
+            reached = orbit(x, maps, lambda y, m: m[y], n)
+            met = {label[y] for y in reached} - {None}
+            if met:
+                reached += [y for y in range(n) if label[y] in met]
+            for y in reached:
+                label[y] = x
+    classes: dict[Optional[int], list[int]] = {}
+    for y in range(n):
+        classes.setdefault(label[y], []).append(y)
+    return tuple(map(tuple, classes.values()))
 
 
 def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ...], ...]]:
@@ -185,41 +185,20 @@ def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ..
     return len(orbits) == 1, orbits
 
 
-def close_permutations(n: int, generators: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Breadth-first closure of a set of permutations under composition.
-
-    Raises ``BoundExceededError`` once the closure would store more than
-    ``PERMUTATION_CLOSURE_BOUND`` integers.
-    """
-    identity = tuple(range(n))
-    gens = {tuple(g) for g in generators}
-    limit = PERMUTATION_CLOSURE_BOUND // max(n, 1)
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(map(p.__getitem__, g))
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-                    if len(group) > limit:
-                        raise BoundExceededError(
-                            f"permutation closure exceeded {limit} permutations of {n} points "
-                            f"(bound {PERMUTATION_CLOSURE_BOUND} stored integers)")
-        frontier = nxt
-    return group
-
-
 def permutation_group(S: SetSolution) -> PermutationGroupSummary:
-    """The group generated by the sigma maps, with its order and orbits (the
-    orbits of a group are those of its generators)."""
+    """The group generated by the sigma maps (closed by ``orbit``, bounded
+    by ``PERMUTATION_CLOSURE_BOUND``), with its order and orbits (the orbits
+    of a group are those of its generators)."""
     if not is_nondegenerate(S):
         raise ValueError("permutation group requires a non-degenerate solution")
-    gens = tuple(sorted({S.sigma[x] for x in range(S.size)}))
-    order = len(close_permutations(S.size, gens))
-    return PermutationGroupSummary(order, gens, _orbits_of_maps(S.size, gens))
+    n = S.size
+    gens = tuple(sorted({S.sigma[x] for x in range(n)}))
+    limit = PERMUTATION_CLOSURE_BOUND // max(n, 1)
+    group = orbit(tuple(range(n)), gens, lambda p, g: tuple(map(p.__getitem__, g)), limit)
+    if group is None:
+        raise BoundExceededError(f"permutation closure exceeded {limit} permutations of {n} points "
+                                 f"(bound {PERMUTATION_CLOSURE_BOUND} stored integers)")
+    return PermutationGroupSummary(len(group), gens, _orbits_of_maps(n, gens))
 
 
 def solution_orbits(S: SetSolution) -> tuple[tuple[int, ...], ...]:

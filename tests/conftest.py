@@ -18,7 +18,7 @@ from bracekit.braces import (
     trivial_brace,
     verify_brace,
 )
-from bracekit.catalog import _classes
+from bracekit.catalog import _classes, _relabeling
 from bracekit.groups import (
     FiniteGroup,
     GroupAxiomError,
@@ -434,6 +434,21 @@ def oracle_mark_orbits(G: FiniteGroup, tables) -> list[tuple[tuple[int, ...], ..
     return sorted(canon)
 
 
+def oracle_flat_mark_orbits(auts, tables: list[bytes]) -> list[bytes]:
+    """The least member of the orbit of each flat table under all of
+    ``auts``, once per orbit and sorted: the marking loop of
+    ``catalog._classes`` before it relabeled by generators only."""
+    relabelings = [_relabeling(phi) for phi in auts]
+    seen: set[bytes] = set()
+    canon = []
+    for flat in tables:
+        if flat not in seen:
+            orbit = {bytes(take(flat)).translate(p) for take, p in relabelings}
+            seen |= orbit
+            canon.append(min(orbit))
+    return sorted(canon)
+
+
 def oracle_schur_embedding(A: SkewBrace) -> str:
     """The status of the Schur embedding check with x_i over all of A."""
     ann = annihilator(A)
@@ -581,6 +596,47 @@ def oracle_check_solution(S: SetSolution) -> SolutionReport:
 
     return SolutionReport(bijective, ybe, nondegenerate, involutive,
                           braid_witness, involutive_witness)
+
+
+def oracle_close_permutations(n: int, generators: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The group generated by permutations of 0..n-1, as tuples, closed
+    breadth-first under composition with no bound."""
+    identity = tuple(range(n))
+    gens = {tuple(g) for g in generators}
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(map(p.__getitem__, g))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def oracle_orbits_of_maps(n: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The classes of the least equivalence on 0..n-1 relating each x to
+    every m[x], by union-find, each sorted, in order of least member."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m in maps:
+        for x in range(n):
+            a, b = find(x), find(m[x])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------

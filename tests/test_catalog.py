@@ -2,7 +2,7 @@ import json
 import os
 import signal
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
 from pathlib import Path
 
@@ -15,6 +15,8 @@ from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
     _circle_tables_holomorph,
+    _classes,
+    _generators,
     _lambda_group,
     _relabeling,
     catalog_invariant_sweep,
@@ -34,7 +36,9 @@ from conftest import (
     ORDER_16_GROUPS,
     oracle_canonical_circle,
     oracle_circle_tables_holomorph,
+    oracle_close_permutations,
     oracle_enumerate,
+    oracle_flat_mark_orbits,
     oracle_mark_orbits,
 )
 
@@ -67,14 +71,42 @@ def test_orbit_marking_matches_the_canonical_form_oracle(n):
         assert all(oracle_canonical_circle(G, t) == t for t in entries)
 
 
+def flat_entries(braces) -> list[bytes]:
+    return [bytes(chain.from_iterable(A.circle.table)) for A in braces]
+
+
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
 def test_catalog_matches_the_unrestricted_search_oracle(n):
-    """The Sylow-restricted search with flat orbit marking gives the catalog
-    of the search over all of Aut(G) with ``relabel_table`` orbit marking."""
+    """The Sylow-restricted search with orbit marking by generators gives
+    the catalog of the search over all of Aut(G) with ``relabel_table``
+    orbit marking, and that of flat marking by all of Aut(G)."""
     catalog = _build_catalog(n)
     for name, G in groups_of_order(n):
-        entries = [A.circle.table for g, A in zip(catalog.additive_names, catalog.braces) if g == name]
-        assert entries == oracle_mark_orbits(G, oracle_circle_tables_holomorph(G))
+        entries = [A for g, A in zip(catalog.additive_names, catalog.braces) if g == name]
+        assert [A.circle.table for A in entries] == oracle_mark_orbits(G, oracle_circle_tables_holomorph(G))
+        assert flat_entries(entries) == oracle_flat_mark_orbits(*_circle_tables_holomorph(G))
+
+
+@pytest.mark.parametrize("factors, count, generators", [((4, 2, 2), 161, 4), ((2, 2, 2, 2), 39, 2)],
+                         ids=["C4xC2xC2", "C2xC2xC2xC2"])
+def test_marking_by_generators_matches_marking_by_all_of_aut_at_order_16(factors, count, generators):
+    """Orbits are marked under 4 of the 192 automorphisms of C4×C2², and
+    under 2 of the 20,160 of C2⁴."""
+    G = reduce(direct_product_group, map(cyclic, factors))
+    auts, tables = _circle_tables_holomorph(G)
+    assert len(_generators(tuple(map(flat_permutation, auts)))) == generators
+    classes = _classes(G)
+    assert len(classes) == count
+    assert flat_entries(classes) == oracle_flat_mark_orbits(auts, tables)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_generators_generate_the_automorphism_group(n):
+    for _, G in groups_of_order(n):
+        auts = automorphism_group(G)
+        S = _generators(tuple(map(flat_permutation, auts)))
+        assert set(S) <= set(map(flat_permutation, auts))
+        assert oracle_close_permutations(n, [g[:n] for g in S]) == set(auts)
 
 
 @pytest.mark.parametrize("G, restricted, unrestricted", [

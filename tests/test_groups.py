@@ -23,6 +23,7 @@ from bracekit.groups import (
     group_signature,
     is_abelian,
     normal_closure,
+    orbit,
     preserves,
     quotient_group,
     relabel_table,
@@ -376,3 +377,38 @@ def test_sylow_subgroup_of_a_symmetric_group(n, p, order):
     assert P[0] == flat_permutation(range(n))
     assert len(set(P)) == len(P) == order
     assert {q.translate(r) for r in P for q in P} == set(P)
+
+
+def test_sylow_subgroup_of_the_trivial_group_is_the_identity():
+    identity = flat_permutation(())
+    assert sylow_subgroup([identity], 2) == (identity,)
+
+
+def test_orbit_is_breadth_first_from_the_start():
+    """From 1, x ↦ 2x and x ↦ 2x + 1 reach the nodes of a binary tree in
+    its heap numbering, which is breadth-first; a depth-first walk would
+    give 1, 2, 4, 5, 3, 6, 7.  Past 7 the steps go back to 1."""
+    def step(x, g):
+        return 2 * x + g if 2 * x + g < 8 else 1
+
+    assert orbit(1, (0, 1), step, 7) == [1, 2, 3, 4, 5, 6, 7]
+    assert orbit(1, (0, 1), step, 6) is None
+    assert orbit(5, (), step, 1) == [5]
+
+
+@pytest.mark.parametrize("bound", [1, 5, 39])
+def test_orbit_stops_at_the_first_value_over_its_bound(bound):
+    """Adding 1, 2 and 3 mod 40 from 0 stores at most bound + 1 values
+    before it returns None; checking the bound only after each round of
+    the breadth-first search would store 4 after the first round and 7
+    after the second."""
+    stored = []
+
+    def step(x, g):
+        z = (x + g) % 40
+        stored.append(z)
+        return z
+
+    assert orbit(0, (1, 2, 3), step, bound) is None
+    assert len(set(stored) | {0}) <= bound + 1
+    assert len(orbit(0, (1, 2, 3), step, 40)) == 40

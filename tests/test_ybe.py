@@ -1,7 +1,7 @@
 from functools import cache
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bracekit.braces import trivial_brace
@@ -10,9 +10,7 @@ from bracekit.grouptables import dihedral
 from bracekit import ybe
 from bracekit.groups import BoundExceededError
 from bracekit.ybe import (
-    _orbits_of_maps,
     check_solution,
-    close_permutations,
     derived_solution,
     is_derived_form,
     is_indecomposable_derived,
@@ -25,7 +23,13 @@ from bracekit.ybe import (
     solution_orbits,
 )
 
-from conftest import flip_solution, oracle_check_solution, triangle
+from conftest import (
+    flip_solution,
+    oracle_check_solution,
+    oracle_close_permutations,
+    oracle_orbits_of_maps,
+    triangle,
+)
 
 
 def two_parallel_swaps():
@@ -169,9 +173,20 @@ def test_permutation_group_orbits_are_those_of_the_whole_group():
             S = solution_from_brace(A)
             assert is_nondegenerate(S)
             summary = permutation_group(S)
-            group = close_permutations(n, summary.generators)
+            group = oracle_close_permutations(n, summary.generators)
             assert summary.order == len(group)
-            assert summary.orbits == _orbits_of_maps(n, group)
+            assert summary.orbits == oracle_orbits_of_maps(n, group)
+
+
+def test_permutation_group_of_the_empty_solution_is_trivial():
+    summary = permutation_group(make_solution([], []))
+    assert summary == (1, (), ())
+
+
+def sigma_solution(sigma) -> ybe.SetSolution:
+    """A solution on len(sigma) points with the given sigma maps and
+    identity tau maps."""
+    return make_solution(sigma, [tuple(range(len(sigma)))] * len(sigma))
 
 
 def test_quandle_requires_derived_form():
@@ -182,21 +197,39 @@ def test_quandle_requires_derived_form():
 
 
 def test_close_permutations():
-    group = close_permutations(3, [(1, 2, 0)])
-    assert len(group) == 3
-    group = close_permutations(3, [(1, 0, 2), (0, 2, 1)])
-    assert len(group) == 6
-    assert tuple(range(3)) in group
+    for gens, order in (([(1, 2, 0)], 3), ([(1, 0, 2), (0, 2, 1)], 6)):
+        group = oracle_close_permutations(3, gens)
+        assert len(group) == order and tuple(range(3)) in group
+        assert permutation_group(sigma_solution((gens * 3)[:3])).order == order
 
 
 def test_close_permutations_bounds_stored_integers(monkeypatch):
     """The bound counts stored integers, permutations times points: 36
     integers hold 12 permutations of 3 points but only 6 of 6 points."""
     monkeypatch.setattr(ybe, "PERMUTATION_CLOSURE_BOUND", 36)
-    assert len(close_permutations(3, [(1, 0, 2), (1, 2, 0)])) == 6
-    assert len(close_permutations(6, [(1, 2, 3, 4, 5, 0)])) == 6
+    cycle, transposition = (1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)
+    assert permutation_group(sigma_solution([(1, 0, 2), (1, 2, 0), (1, 2, 0)])).order == 6
+    assert permutation_group(sigma_solution([cycle] * 6)).order == 6
     with pytest.raises(BoundExceededError, match="6 permutations of 6 points"):
-        close_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+        permutation_group(sigma_solution([cycle, transposition] * 3))
+
+
+def solution_maps(n: int):
+    """(n, sigma, tau) for sigma and tau lists of n maps of 0..n-1, each a
+    permutation or any map."""
+    one_map = st.permutations(range(n)) | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    maps = st.lists(one_map.map(tuple), min_size=n, max_size=n)
+    return st.tuples(st.just(n), maps, maps)
+
+
+@seed(22)
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(0, 7).flatmap(solution_maps))
+@example(case=(0, [], []))
+@example(case=(1, [(0,)], [(0,)]))
+def test_solution_orbits_match_the_union_find_oracle(case):
+    n, sigma, tau = case
+    assert solution_orbits(make_solution(sigma, tau)) == oracle_orbits_of_maps(n, sigma + tau)
 
 
 @cache
