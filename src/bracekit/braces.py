@@ -125,9 +125,10 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     Compatibility a∘(b+c) = a∘b - a + a∘c says λ_a(b+c) = λ_a(b) + λ_a(c)
     for λ_a(x) = -a + a∘x.  For fixed a, the c at which this holds for every
     b contain 0 and are closed under +, so they form an additive subgroup;
-    checking c over ``generating_sequence(add)`` is therefore exact, at
-    O(n²k) cost.  If a generator fails, the full lexicographic O(n³) scan
-    runs and raises its first failing triple, so the witness is the scan's.
+    so ``_incompatible`` searches c over ``generating_sequence(add)`` only,
+    which is exact, at O(n²k) cost.  If it finds a failure, the same search
+    over every c, O(n³), gives the lexicographically first failing triple
+    as the witness.
 
     The compatibility check runs on every call.  A pair that passes comes
     back interned (``_brace_of``); one that fails is never interned.
@@ -146,39 +147,31 @@ def verify_brace(add_table: Sequence[Sequence[int]],
     add = verify_group_axioms(add_table)
     circle = verify_group_axioms(circle_table)
 
-    gens = generating_sequence(add)
-    if not all(lam_a[add_b[c]] == add.table[lam_a[b]][lam_a[c]]
-               for lam_a in _lambda_rows(add, circle) for b, add_b in enumerate(add.table) for c in gens):
-        _compatibility_scan(add, circle)
+    if _incompatible(add, circle, generating_sequence(add)):
+        a, b, c = _incompatible(add, circle, add.elements())
+        raise BraceAxiomError("compatibility", (a, b, c), f"a∘(b+c) != a∘b - a + a∘c for (a,b,c)=({a},{b},{c})")
     return _brace_of(add, circle)
-
-
-def _lambda_rows(add: FiniteGroup, circle: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """The rows of λ, λ_a(b) = -a + a∘b, one a at a time."""
-    return (tuple(map(add.table[add.inverse[a]].__getitem__, circle.table[a]))
-            for a in add.elements())
 
 
 @lru_cache(maxsize=None)
 def _brace_of(add: FiniteGroup, circle: FiniteGroup) -> SkewBrace:
     """The SkewBrace of two groups known to be compatible, unchecked and
-    interned like ``groups._group_of``."""
-    return SkewBrace(add=add, circle=circle, lam=tuple(_lambda_rows(add, circle)))
+    interned like ``groups._group_of``: λ_a(b) = -a + a∘b."""
+    return SkewBrace(add=add, circle=circle, lam=tuple(
+        tuple(map(add.table[add.inverse[a]].__getitem__, circle.table[a])) for a in add.elements()))
 
 
-def _compatibility_scan(add: FiniteGroup, circle: FiniteGroup) -> None:
-    """Raise on the lexicographically first (a, b, c) with
-    a∘(b+c) != a∘b - a + a∘c."""
-    n = add.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = circle.table[a][add.table[b][c]]
-                rhs = add.table[add.table[circle.table[a][b]][add.inverse[a]]][circle.table[a][c]]
-                if lhs != rhs:
-                    raise BraceAxiomError(
-                        "compatibility", (a, b, c),
-                        f"a∘(b+c) != a∘b - a + a∘c for (a,b,c)=({a},{b},{c})")
+def _incompatible(add: FiniteGroup, circle: FiniteGroup, cs: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first (a, b, c) with c in ``cs`` and
+    a∘(b+c) != a∘b - a + a∘c, or None."""
+    for a, circ_a in enumerate(circle.table):
+        minus_a = add.inverse[a]
+        for b, add_b in enumerate(add.table):
+            left = add.table[add.table[circ_a[b]][minus_a]]
+            for c in cs:
+                if circ_a[add_b[c]] != left[circ_a[c]]:
+                    return a, b, c
+    return None
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
@@ -199,40 +192,37 @@ def check_star_identities(A: SkewBrace) -> CheckReport:
     which the first holds for a fixed x and every y are closed under +, and
     once every λ is additive so are the z at which the second holds for
     fixed x, y: both are additive subgroups.  So both are checked only for
-    z in ``generating_sequence(A.add)``, at O(n²k) cost.  If either fails,
-    the full O(n³) scan runs and reports its first failure.  A failure
+    z in ``generating_sequence(A.add)``, at O(n²k) cost, by ``_star_failure``
+    in star form, which at each triple is the λ form of the first identity,
+    and of the second given the first.  If either fails, the same search
+    over every z, O(n³), reports the first failure.  A failure
     would indicate a library bug, since both identities follow from the
     brace axioms.
     """
-    plus, lam = A.add.table, A.lam
-    gens = generating_sequence(A.add)
-    if all(lam_x[plus_y[z]] == plus[lam_x[y]][lam_x[z]]
-           for lam_x in lam for y, plus_y in enumerate(plus) for z in gens) \
-            and all(lam[A.circ(x, y)][z] == lam[x][lam[y][z]]
-                    for x in A.elements() for y in A.elements() for z in gens):
+    if _star_failure(A, generating_sequence(A.add)) is None:
         return CheckReport("star-identities", "pass")
-    return _star_identities_scan(A)
+    identity, witness = _star_failure(A, A.elements())
+    return CheckReport("star-identities", "fail", (("identity", identity), ("witness", witness)))
 
 
-def _star_identities_scan(A: SkewBrace) -> CheckReport:
-    """Both (*) identities over all triples; the first failure is reported."""
-    for x in A.elements():
-        for y in A.elements():
-            for z in A.elements():
+def _star_failure(A: SkewBrace, zs: Sequence[int]) -> Optional[tuple[str, tuple[int, int, int]]]:
+    """The first (x, y, z) with z in ``zs``, in lexicographic order, at
+    which a (*) identity fails, the first identity checked first at each
+    triple, with that identity's name; or None."""
+    plus, neg, circ = A.add.table, A.add.inverse, A.circle.table
+    star = [[plus[lam_a[b]][neg[b]] for b in A.elements()] for lam_a in A.lam]
+    for x, star_x in enumerate(star):
+        for y, plus_y in enumerate(plus):
+            left, star_xy, star_y = plus[plus[star_x[y]][y]], star[circ[x][y]], star[y]
+            for z in zs:
                 # x*(y+z) = x*y + y + x*z - y
-                lhs = A.star(x, A.plus(y, z))
-                rhs = A.plus(A.plus(A.plus(A.star(x, y), y), A.star(x, z)), A.neg(y))
-                if lhs != rhs:
-                    return CheckReport("star-identities", "fail",
-                                       (("identity", "x*(y+z)"), ("witness", (x, y, z))))
+                if star_x[plus_y[z]] != plus[left[star_x[z]]][neg[y]]:
+                    return "x*(y+z)", (x, y, z)
                 # (x∘y)*z = x*(y*z) + y*z + x*z
-                lhs = A.star(A.circ(x, y), z)
-                yz = A.star(y, z)
-                rhs = A.plus(A.plus(A.star(x, yz), yz), A.star(x, z))
-                if lhs != rhs:
-                    return CheckReport("star-identities", "fail",
-                                       (("identity", "(x∘y)*z"), ("witness", (x, y, z))))
-    return CheckReport("star-identities", "pass")
+                yz = star_y[z]
+                if star_xy[z] != plus[plus[star_x[yz]][yz]][star_x[z]]:
+                    return "(x∘y)*z", (x, y, z)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -50,9 +50,9 @@ class BraceCatalog(NamedTuple):
     counts: tuple[tuple[str, int], ...]
 
 
-def _lambda_group(auts: tuple[tuple[int, ...], ...], n: int) -> tuple[bytes, ...]:
+def _lambda_group(auts: tuple[bytes, ...], n: int) -> tuple[bytes, ...]:
     """The automorphisms the λ-search assigns on a group G of order n with
-    automorphism group ``auts``, as ``flat_permutation``s: one Sylow
+    automorphism group ``auts``, both as ``flat_permutation``s: one Sylow
     p-subgroup P of Aut(G) when n = p^k, and all of Aut(G) otherwise.  The
     identity comes first (``sylow_subgroup`` puts it there, and
     ``automorphism_group`` is sorted), as ``_circle_tables_holomorph``
@@ -64,17 +64,16 @@ def _lambda_group(auts: tuple[tuple[int, ...], ...], n: int) -> tuple[bytes, ...
     turns each λ_a into ψλ_aψ⁻¹, so ψ = φ⁻¹ puts the image in P: every
     class has a circle table whose λ lies in P.
     """
-    flat = tuple(map(flat_permutation, auts))
     p = min((d for d in range(2, n + 1) if n % d == 0), default=n)  # least prime factor
     q = p
     while q < n:
         q *= p
-    return sylow_subgroup(flat, p) if q == n > 1 else flat
+    return sylow_subgroup(auts, p) if q == n > 1 else auts
 
 
-def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], list[bytes]]:
-    """Aut(G) and the circle tables, flat (row-major ``bytes``), compatible
-    with G whose λ lies in ``_lambda_group``.
+def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[bytes, ...], list[bytes]]:
+    """Aut(G) as ``flat_permutation``s, and the circle tables compatible
+    with G whose λ lies in ``_lambda_group`` as row-major ``bytes``.
 
     Such a table is a regular subgroup {(x, λ_x)} of the holomorph G ⋊ Aut(G),
     that is, a map x ↦ λ_x that is a homomorphism for the products
@@ -87,7 +86,7 @@ def _circle_tables_holomorph(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...
     its own λ_x: the closures then lie inside it, so no check fails.
     """
     n = G.order
-    auts = automorphism_group(G)
+    auts = tuple(map(flat_permutation, automorphism_group(G)))
     lams = _lambda_group(auts, n)
     index = {lam: i for i, lam in enumerate(lams)}
     comp = [[index[q.translate(p)] for q in lams] for p in lams]
@@ -147,7 +146,7 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     """
     n = G.order
     auts, tables = _circle_tables_holomorph(G)
-    relabelings = [_relabeling(phi[:n]) for phi in _generators(tuple(map(flat_permutation, auts)))]
+    relabelings = [_relabeling(phi[:n]) for phi in _generators(auts)]
     seen: set[bytes] = set()
     canon = []
     for flat in tables:

@@ -57,7 +57,6 @@ from .ybe import (
     SetSolution,
     check_solution,
     derived_solution,
-    is_derived_form,
     is_indecomposable_derived,
     is_nondegenerate,
     is_quandle,
@@ -293,10 +292,12 @@ def _cmd_ybe_derived(args) -> int:
     S = _nondegenerate_solution(args.solution)
     D = derived_solution(S)
     _emit(solution_payload(D), args.out, "derived solution")
-    if is_derived_form(D):
+    if is_nondegenerate(D):
         indecomposable, orbits = is_indecomposable_derived(D)
         print(f"quandle: {is_quandle(D)}", file=sys.stderr)
         print(f"indecomposable: {indecomposable} (orbits: {orbits})", file=sys.stderr)
+    else:
+        print("derived form is not a rack: some map x -> y|>x is not a permutation", file=sys.stderr)
     return EXIT_OK
 
 

@@ -126,11 +126,12 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     Associativity is Light's test: the s with (a·s)·c = a·(s·c) for all a, c
     include the identity and are closed under products (if s and t pass, so
     does s·t), so they form a subgroup, and once they include elements whose
-    products reach every index they are every element.  Only the k elements
-    of ``generating_sequence``, whose products from the identity reach every
-    index, are checked, at O(n²k) cost.  If one fails, the full
-    lexicographic O(n³) scan runs and raises its first failing triple, so
-    the witness is the scan's.
+    products reach every index they are every element.  So
+    ``_nonassociative`` searches only the k elements of
+    ``generating_sequence``, whose products from the identity reach every
+    index, at O(n²k) cost.  If it finds a failure, the same search over
+    every element, O(n³), gives the lexicographically first failing triple
+    as the witness.
 
     The shape check runs on every call.  An entry passes it exactly when
     ``type(v) is int`` and 0 <= v < n, as in the file loaders, so a bool or
@@ -173,19 +174,14 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         if len(col) != n:
             raise GroupAxiomError("latin-square", (b,), f"column {b} is not a permutation")
 
-    tab = table
-    if identity != 0:
-        perm = list(range(n))
-        perm[0], perm[identity] = identity, 0
-        tab = relabel_table(tab, perm)
-
-    # Light's test on the relabeled table, which is associative exactly when
-    # the raw one is; the scan reports its witness in raw indices.
-    for s in generating_sequence(_group_of.__wrapped__(tab)):
-        # row (a·s) of the table against the row c ↦ a·(s·c), for every a
-        row_s = tab[s]
-        if any(tab[row[s]] != tuple(map(row.__getitem__, row_s)) for row in tab):
-            _associativity_scan(table)
+    perm = list(range(n))
+    perm[0], perm[identity] = identity, 0
+    tab = relabel_table(table, perm) if identity else table
+    # Light's test on the raw table, so that the witness is in raw indices:
+    # the transposition perm carries the relabeled generators back to it.
+    if _nonassociative(table, [perm[s] for s in generating_sequence(_group_of.__wrapped__(tab))]):
+        a, b, c = _nonassociative(table, range(n))
+        raise GroupAxiomError("associativity", (a, b, c), f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})")
     return _group_of(tab)
 
 
@@ -216,18 +212,16 @@ def _semidirect_group(N: FiniteGroup, K: FiniteGroup,
     ))
 
 
-def _associativity_scan(table: Sequence[Sequence[int]]) -> None:
-    """Raise on the lexicographically first (a, b, c) with (a·b)·c != a·(b·c)."""
-    n = len(table)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise GroupAxiomError(
-                        "associativity", (a, b, c),
-                        f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})",
-                    )
+def _nonassociative(table: tuple[tuple[int, ...], ...], bs: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c), b in ``bs`` and in its order, with
+    (a·b)·c != a·(b·c), or None: for each (a, b), row a·b of the table
+    against the row c ↦ a·(b·c)."""
+    for a, row in enumerate(table):
+        for b in bs:
+            lhs, rhs = table[row[b]], tuple(map(row.__getitem__, table[b]))
+            if lhs != rhs:
+                return a, b, next(c for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    return None
 
 
 @lru_cache(maxsize=None)

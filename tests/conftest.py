@@ -434,11 +434,12 @@ def oracle_mark_orbits(G: FiniteGroup, tables) -> list[tuple[tuple[int, ...], ..
     return sorted(canon)
 
 
-def oracle_flat_mark_orbits(auts, tables: list[bytes]) -> list[bytes]:
-    """The least member of the orbit of each flat table under all of
-    ``auts``, once per orbit and sorted: the marking loop of
-    ``catalog._classes`` before it relabeled by generators only."""
-    relabelings = [_relabeling(phi) for phi in auts]
+def oracle_flat_mark_orbits(n: int, auts: Sequence[bytes], tables: list[bytes]) -> list[bytes]:
+    """The least member of the orbit of each flat table of order n under
+    all of ``auts`` (``flat_permutation``s), once per orbit and sorted: the
+    marking loop of ``catalog._classes`` before it relabeled by generators
+    only."""
+    relabelings = [_relabeling(phi[:n]) for phi in auts]
     seen: set[bytes] = set()
     canon = []
     for flat in tables:

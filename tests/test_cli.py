@@ -398,6 +398,21 @@ def test_ybe_from_brace_and_derived(ring_path, tmp_path, capsys):
     assert "quandle:" in captured.err
 
 
+def test_ybe_derived_of_a_non_solution_is_not_reported_as_a_rack(tmp_path, capsys):
+    """A non-degenerate input that is not a solution can have derived maps
+    x ↦ y▷x that are not permutations (rows (0,0,1) and (0,1,0) here), so
+    its derived form is no rack: it is written, but given no quandle or
+    orbit report."""
+    path = tmp_path / "non_solution.json"
+    S = make_solution([(0, 2, 1), (2, 0, 1), (2, 0, 1)], [(0, 2, 1), (1, 0, 2), (2, 0, 1)])
+    path.write_text(dumps(solution_payload(S)))
+    assert main(["ybe", "derived", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"size": 3, "sigma": [[0, 1, 2]] * 3,
+                                        "tau": [[0, 0, 1], [1, 2, 0], [0, 1, 0]]}
+    assert captured.err == "derived form is not a rack: some map x -> y|>x is not a permutation\n"
+
+
 def test_ybe_group(swaps_path, capsys):
     assert main(["ybe", "group", swaps_path]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,10 @@
 additive generators) and ``check_star_identities`` (both identities on
 additive generators) must accept and reject exactly what the O(n³) oracles
 in conftest.py do, with the same exception class, axiom tag and witness, or
-the same report.  The memo guards check that memoized verification still
+the same report.  Each runs one search twice, over generators and then,
+on a failure, over every element; on the same inputs, the first must find
+a failure exactly when the second does, and the second must find the
+oracle's witness.  The memo guards check that memoized verification still
 rejects every invalid input, on every call.
 """
 
@@ -19,6 +22,8 @@ from bracekit.braces import (
     BraceAxiomError,
     SkewBrace,
     _brace_of,
+    _incompatible,
+    _star_failure,
     check_star_identities,
     direct_product,
     verify_brace,
@@ -27,8 +32,11 @@ from bracekit.catalog import _build_catalog
 from bracekit.groups import (
     GroupAxiomError,
     _group_of,
+    _nonassociative,
+    _raw_identity,
     _verify_shaped,
     all_normal_subgroups,
+    generating_sequence,
     quotient_group,
     relabel_table,
     verify_group_axioms,
@@ -52,6 +60,49 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except (GroupAxiomError, BraceAxiomError) as exc:
         return (type(exc), exc.axiom, exc.witness)
+
+
+def exact_restriction(search, args, gens, n: int):
+    """``search`` over ``gens`` finds a failure exactly when it does over
+    every element; the result of the latter."""
+    full = search(*args, range(n))
+    assert (search(*args, gens) is None) == (full is None)
+    return full
+
+
+def check_associativity_search(table) -> None:
+    """On a table that reaches the associativity check, the search over the
+    generators of Light's test (those of the relabeled table, moved back
+    through the identity transposition) is exact and the full search finds
+    the oracle's witness."""
+    expected = outcome(oracle_verify_group_axioms, table)
+    if expected[0] == "ok" or expected[1] == "associativity":
+        table, n, e = tuple(map(tuple, table)), len(table), _raw_identity(table)
+        perm = list(range(n))
+        perm[0], perm[e] = e, 0
+        gens = [perm[s] for s in generating_sequence(_group_of.__wrapped__(relabel_table(table, perm)))]
+        full = exact_restriction(_nonassociative, (table,), gens, n)
+        assert full == (None if expected[0] == "ok" else expected[2])
+
+
+def check_compatibility_search(add_table, circle_table) -> None:
+    """On a pair of groups that reaches the compatibility check, the search
+    over additive generators is exact and the full search finds the
+    oracle's witness."""
+    expected = outcome(oracle_verify_brace, add_table, circle_table)
+    if expected[0] == "ok" or expected[1] == "compatibility":
+        add, circle = verify_group_axioms(add_table), verify_group_axioms(circle_table)
+        full = exact_restriction(_incompatible, (add, circle), generating_sequence(add), add.order)
+        assert full == (None if expected[0] == "ok" else expected[2])
+
+
+def check_star_search(A: SkewBrace) -> None:
+    """The (*) search over additive generators is exact and the full search
+    finds the oracle's failure."""
+    report = oracle_check_star_identities(A)
+    full = exact_restriction(_star_failure, (A,), generating_sequence(A.add), A.order)
+    details = dict(report.details)
+    assert full == (None if report.passed else (details["identity"], details["witness"]))
 
 
 def mutate(table, row: int, col: int, value: int) -> list[list[int]]:
@@ -92,8 +143,11 @@ def test_catalog_tables_pass_as_with_the_oracles():
     for A in catalog():
         for table in (A.add.table, A.circle.table):
             assert verify_group_axioms(table) == oracle_verify_group_axioms(table)
+            check_associativity_search(table)
         assert verify_brace(A.add.table, A.circle.table) == A
+        check_compatibility_search(A.add.table, A.circle.table)
         assert check_star_identities(A) == oracle_check_star_identities(A)
+        check_star_search(A)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,6 +159,7 @@ def test_group_axioms_match_the_oracle_on_one_entry_mutations(data):
     row, col, value = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     mutant = mutate(table, row, col, value)
     assert outcome(verify_group_axioms, mutant) == outcome(oracle_verify_group_axioms, mutant)
+    check_associativity_search(mutant)
 
 
 def times_c2(table) -> list[list[int]]:
@@ -122,8 +177,10 @@ def test_group_axioms_match_the_oracle_on_random_loops(n, seed):
     table = random_loop(n, rng)
     perm = list(range(n))
     rng.shuffle(perm)
-    for candidate in (table, relabel_table(table, perm), times_c2(table)):
+    moved = relabel_table(table, [*range(1, n), 0])  # identity at 1
+    for candidate in (table, relabel_table(table, perm), moved, times_c2(table)):
         assert outcome(verify_group_axioms, candidate) == outcome(oracle_verify_group_axioms, candidate)
+        check_associativity_search(candidate)
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,6 +193,7 @@ def test_verify_brace_matches_the_oracle_on_one_entry_mutations(data):
     which = data.draw(st.integers(0, 1))
     tables[which] = mutate(tables[which], row, col, value)
     assert outcome(verify_brace, *tables) == outcome(oracle_verify_brace, *tables)
+    check_compatibility_search(*tables)
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,6 +208,7 @@ def test_verify_brace_matches_the_oracle_on_mismatched_pairs(data):
     perm = (0, *data.draw(st.permutations(range(1, n))))
     circle = relabel_table(B.circle.table, perm)
     assert outcome(verify_brace, A.add.table, circle) == outcome(oracle_verify_brace, A.add.table, circle)
+    check_compatibility_search(A.add.table, circle)
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +227,7 @@ def test_star_identities_match_the_oracle_on_mutated_lambda(data):
         lam[x] = list(A.lam[data.draw(st.integers(0, n - 1))])
     M = SkewBrace(add=A.add, circle=A.circle, lam=tuple(tuple(row) for row in lam))
     assert check_star_identities(M) == oracle_check_star_identities(M)
+    check_star_search(M)
 
 
 def test_second_identity_failure_is_reported_like_the_oracle():
@@ -179,6 +239,7 @@ def test_second_identity_failure_is_reported_like_the_oracle():
     report = check_star_identities(M)
     assert report.failed
     assert report == oracle_check_star_identities(M)
+    check_star_search(M)
 
 
 @pytest.mark.parametrize("n", ORDERS)
