@@ -78,17 +78,6 @@ class SkewBrace(_Value):
     def __init__(self, add: FiniteGroup, circle: FiniteGroup, lam: tuple[tuple[int, ...], ...]):
         self._set(add, circle, lam, hash((add, circle)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.add == other.add
-                and self.circle == other.circle and self.lam == other.lam)
-
     @property
     def order(self) -> int:
         return self.add.order

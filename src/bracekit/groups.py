@@ -33,9 +33,9 @@ class BoundExceededError(RuntimeError):
 class _Value:
     """Base of the immutable memo keys, which store their hash when built:
     every memo lookup hashes its key, and tuple tables do not cache theirs.
-    A subclass lists its fields, then ``_hash``, in ``__slots__``, sets them
-    with ``_set`` and writes a direct ``__eq__`` that tries identity first,
-    then stored hashes, then fields.  Groups and braces are interned by
+    A subclass lists its fields, then ``_hash``, in ``__slots__`` and sets
+    them with ``_set``.  Equality tries identity, then class, then the
+    stored hashes, then every field.  Groups and braces are interned by
     value (``_group_of``, ``braces._brace_of``), so a memo hit on an equal
     key is mostly a hit on the same object; equality and hashing still go
     by value, as for copies and pickles."""
@@ -45,6 +45,16 @@ class _Value:
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and all(getattr(self, f) == getattr(other, f) for f in self.__slots__[:-1])
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -66,17 +76,6 @@ class FiniteGroup(_Value):
 
     def __init__(self, order: int, table: tuple[tuple[int, ...], ...], inverse: tuple[int, ...]):
         self._set(order, table, inverse, hash(table))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.table == other.table
-                and self.order == other.order and self.inverse == other.inverse)
 
     def elements(self) -> range:
         return range(self.order)
@@ -370,28 +369,44 @@ def extend_hom(m: dict[int, int], pairs: Sequence[tuple[int, int]],
     unique homomorphism on the subgroup the g generate that takes 0 to 0 and
     agrees with the pairs, or None when no such homomorphism exists.
 
-    This is ``subgroup_closure``'s kernel carrying images: f(x·g) =
-    f(x)·image(g) is set on first reach and checked on every later one.  The
-    first round multiplies each x in H = dom(m) by the new seed only, later
-    rounds each newly reached x by every seed.  So the domain contains H and
-    is closed under right multiplication by every seed (for x in H and an
-    old seed, x·g is in H and was checked when m was closed), which makes it
-    the generated subgroup (inverses are positive powers in a finite group),
-    and f(g) = f(0·g) is the given image.  When every check passes,
-    f(x·y) = f(x)·f(y) follows by induction on the length of y as a word in
-    the seeds; when one fails, every homomorphism agreeing with the pairs
-    would have to take both values.  So None comes back exactly when the
-    closure of all pairs from 0 -> 0 gives None, also when the new g is
-    already in H.  Cost: O(|H| + |new elements|·|pairs|) row lookups.
+    One breadth-first loop from 0 multiplies by every pair, setting
+    f(x·g) = f(x)·image(g) on first reach and checking it on every later
+    one; no known x is expanded again: O((1 + |new elements|)·|pairs|) row
+    lookups.  ``rows`` is the product of a finite group P on pairs (x, f(x)),
+    identity (0, 0), G × H here and G ⋊ Λ in the λ-search.  Closing the pairs
+    from (0, 0) reaches the subgroup L they generate (inverses are powers)
+    and fails a check exactly when L is not the graph of a map (it stays in
+    L, and fills L when nothing fails), a homomorphism on its domain.  Let
+    Q = graph(m) and p the new pair.  If g ∈ dom(m), 0·g settles it.  Else,
+    until a check fails, it walks from p by the pairs, stopping at Q, and by
+    the lemma reaches L ∖ Q: it fails exactly when that closure does.
+
+    Lemma: in a finite group L = ⟨Q, p⟩, p ∉ Q, that walk reaches L ∖ Q.  Its
+    reach R outside Q has RQ = R (x ∉ Q gives xq ∉ Q, and the old pairs
+    generate Q), so R/Q holds pQ and is closed under the arcs of Γ − Q, where
+    Γ on L/Q has xQ → yQ iff y ∈ xQpQ: loopless, strongly connected (words in
+    Q and p reach every coset), transitive under L.  A source of Γ − Q, a
+    strong component entered from Q alone, holds some qpQ; as Q fixes Q and
+    is transitive on the qpQ, the sources are Q-translates of one size s and
+    hold every qpQ, from which all of Γ − Q is reached, so one source makes
+    R/Q everything.  Suppose k ≥ 2 sources.  An atom is a least set A entered
+    from one vertex with N(A) = A ∪ {that vertex} not everything; sources are
+    such sets, so atoms have size a ≤ s.  Atoms A ≠ B are disjoint, since
+    |N(A∩B)| + |N(A∪B)| ≤ |N(A)| + |N(B)|: if they met and N(A∪B) were not
+    everything, A∩B would be entered from one vertex and smaller; if it were,
+    |L/Q| = |N(A) ∪ N(B)| ≤ 2a + 1 ≤ 1 + ks ≤ |L/Q| would leave Γ − Q two
+    sources of size a and no arc between them, so each Γ − x would split into
+    two parts of size a, yet for x in one source, Q joins the other.  So the
+    atoms partition L/Q, each vertex is the entry of t of them, and
+    |L/Q|/a = t·|L/Q| gives a = 1: in-degree 1, so Γ is a cycle and k = 1.
     """
     m = dict(m)
-    frontier = list(m)
-    seeds = pairs[-1:]
+    frontier = [0]
     while frontier:
         grown = []
         for x in frontier:
             row, image_row = rows(x, m[x])
-            for g, img in seeds:
+            for g, img in pairs:
                 z, fz = row[g], image_row[img]
                 known = m.get(z)
                 if known is None:
@@ -399,7 +414,7 @@ def extend_hom(m: dict[int, int], pairs: Sequence[tuple[int, int]],
                     grown.append(z)
                 elif known != fz:
                     return None
-        frontier, seeds = grown, pairs
+        frontier = grown
     return m
 
 

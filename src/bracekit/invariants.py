@@ -331,18 +331,14 @@ def check_prop_inc(A: SkewBrace) -> CheckReport:
 
 def check_prop_desc(A: SkewBrace, bound: int = NON_GENERATOR_BOUND) -> CheckReport:
     """Rad(A) equals both the non-generating elements and the sum of all
-    small ideals (up to ``bound``)."""
+    small ideals (up to ``bound``), as read from the ``radical`` report."""
     if A.order > bound:
         return CheckReport("prop-desc", "na",
                            (("reason", f"order {A.order} above the non-generator bound {bound}"),))
-    rad = radical_set(A)
-    nongen = non_generators(A)
-    small_sum = small_ideal_sum(A)
-    details = (("radical", tuple(sorted(rad))),
-               ("non_generators", tuple(sorted(nongen))),
-               ("small_ideal_sum", tuple(sorted(small_sum))))
-    ok = nongen == rad and small_sum == rad
-    return CheckReport("prop-desc", "pass" if ok else "fail", details)
+    report = radical(A, bound)
+    ok = report.non_generators == report.radical == report.small_ideal_sum
+    return CheckReport("prop-desc", "pass" if ok else "fail", tuple(
+        (name, tuple(sorted(getattr(report, name)))) for name in ("radical", "non_generators", "small_ideal_sum")))
 
 
 def check_prop_a2(A: SkewBrace) -> CheckReport:

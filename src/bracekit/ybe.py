@@ -150,9 +150,9 @@ def is_derived_form(S: SetSolution) -> bool:
 
 
 def is_quandle(S: SetSolution) -> bool:
-    """x▷x = x for all x; only defined on derived-form solutions."""
-    if not is_derived_form(S):
-        raise ValueError("quandle check requires a derived-form solution")
+    """x▷x = x for all x; only defined on racks (non-degenerate derived forms)."""
+    if not (is_derived_form(S) and is_nondegenerate(S)):
+        raise ValueError("quandle check requires a rack: a non-degenerate derived-form solution")
     return all(S.tau[x][x] == x for x in range(S.size))
 
 
@@ -177,9 +177,9 @@ def _orbits_of_maps(n: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, .
 
 
 def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Transitivity of the group generated by the maps x ↦ y▷x, with orbits."""
-    if not is_derived_form(S):
-        raise ValueError("indecomposability check requires a derived-form solution")
+    """Transitivity of the group the maps x ↦ y▷x generate, with orbits; racks only."""
+    if not (is_derived_form(S) and is_nondegenerate(S)):
+        raise ValueError("indecomposability check requires a rack: a non-degenerate derived-form solution")
     maps = [S.tau[y] for y in range(S.size)]
     orbits = _orbits_of_maps(S.size, maps)
     return len(orbits) == 1, orbits

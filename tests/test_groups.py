@@ -294,6 +294,47 @@ def test_extend_hom_matches_the_worklist_oracle(data):
         assert m is not None and set(m) == subgroup_closure(G, gs)
 
 
+def test_walk_from_g_avoiding_h_reaches_the_rest_of_h_g():
+    """The reach lemma of ``extend_hom``, by brute force: for H = <a, b> and
+    g outside H, right multiplication by a, b and g from g, never continuing
+    from an element of H, reaches exactly <H, g> minus H."""
+    for G in BUILT_IN_GROUPS:
+        for a, b in itertools.product(G.elements(), repeat=2):
+            H = subgroup_closure(G, [a, b])
+            for g in set(G.elements()) - H:
+                reached = [g]
+                for x in reached:  # grows while iterated
+                    for s in (a, b, g):
+                        z = G.table[x][s]
+                        if z not in H and z not in reached:
+                            reached.append(z)
+                assert set(reached) == subgroup_closure(G, [a, b, g]) - H
+
+
+def test_extend_hom_expands_0_and_new_elements_only(monkeypatch):
+    """Over the automorphism and λ-searches of the groups of order <= 12,
+    each closure calls ``rows`` for 0 and then once per element it adds, at
+    most 1 + (number of new keys) calls, never once per old element."""
+    closures = []
+    real = bracekit.groups.extend_hom
+
+    def counting(m, pairs, rows):
+        xs = []
+
+        def counted(x, fx):
+            xs.append(x)
+            return rows(x, fx)
+        closed = real(m, pairs, counted)
+        new = (set(xs) if closed is None else set(closed)) - set(m)
+        closures.append((len(xs), len(new)))
+        return closed
+    monkeypatch.setattr(bracekit.groups, "extend_hom", counting)
+    for G in BUILT_IN_GROUPS:
+        automorphism_group(G)
+        _circle_tables_holomorph(G)
+    assert closures and all(calls <= 1 + new for calls, new in closures)
+
+
 def catalog_pairs():
     """Each brace of the catalogs of order <= MAX_ORDER against a relabeled
     copy (an isomorphic pair) and against the next entry."""

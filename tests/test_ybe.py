@@ -190,10 +190,17 @@ def sigma_solution(sigma) -> ybe.SetSolution:
 
 
 def test_quandle_requires_derived_form():
-    with pytest.raises(ValueError):
-        is_quandle(c3_doubling())
-    with pytest.raises(ValueError):
-        is_indecomposable_derived(c3_doubling())
+    """Both checks need a rack: a derived form whose maps x ↦ y▷x are
+    permutations.  The derived form of this non-degenerate non-solution has
+    the maps (0,0,1) and (0,1,0), so it is a derived form but no rack."""
+    not_a_rack = derived_solution(make_solution([(0, 2, 1), (2, 0, 1), (2, 0, 1)],
+                                                [(0, 2, 1), (1, 0, 2), (2, 0, 1)]))
+    assert is_derived_form(not_a_rack) and not is_nondegenerate(not_a_rack)
+    for S in (c3_doubling(), not_a_rack):
+        with pytest.raises(ValueError):
+            is_quandle(S)
+        with pytest.raises(ValueError):
+            is_indecomposable_derived(S)
 
 
 def test_close_permutations():
