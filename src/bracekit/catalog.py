@@ -24,10 +24,12 @@ from .braces import (
     verify_brace,
 )
 from .groups import (
+    _IDENTITY_TABLE,
     FiniteGroup,
     GroupAxiomError,
     automorphism_group,
     flat_permutation,
+    greedy_subgroup,
     orbit,
     search_homs,
     sylow_subgroup,
@@ -113,18 +115,13 @@ def _relabeling(phi: tuple[int, ...]):
 
 
 def _generators(auts: tuple[bytes, ...]) -> list[bytes]:
-    """A generating set S of the group ``auts`` of flat permutations: a
-    greedy pass by decreasing element order keeps each element outside ⟨S⟩
-    (2 of the 20,160 automorphisms of C2⁴).  An ``orbit`` from a member of
-    a group is that group."""
+    """A generating set S of the group ``auts`` of flat permutations:
+    ``greedy_subgroup`` by decreasing element order keeps each element
+    outside ⟨S⟩ (2 of the 20,160 automorphisms of C2⁴; none when Aut(G) is
+    trivial).  The order of phi is the size of its ``orbit`` ⟨phi⟩ under [phi]."""
     k = len(auts)
-    gens: list[bytes] = []
-    members: set[bytes] = set()
-    for phi in sorted(auts, key=lambda phi: -len(orbit(phi, [phi], bytes.translate, k))):
-        if phi not in members:
-            gens.append(phi)
-            members = set(orbit(phi, gens, bytes.translate, k))
-    return gens
+    by_order = sorted(auts, key=lambda phi: -len(orbit(phi, [phi], bytes.translate, k)))
+    return greedy_subgroup(_IDENTITY_TABLE, by_order, bytes.translate, k)[0]
 
 
 def _classes(G: FiniteGroup) -> list[SkewBrace]:

@@ -117,20 +117,10 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a Cayley table and return its interned group, identity at 0.
 
     Checks, in order: shape, existence of a two-sided identity, existence of
-    inverses, the Latin-square property, and associativity.  Raises
-    GroupAxiomError with a witness on the first failure.  If the identity is
-    not at index 0 the table is relabeled by the transposition moving it
-    there.
-
-    Associativity is Light's test: the s with (a·s)·c = a·(s·c) for all a, c
-    include the identity and are closed under products (if s and t pass, so
-    does s·t), so they form a subgroup, and once they include elements whose
-    products reach every index they are every element.  So
-    ``_nonassociative`` searches only the k elements of
-    ``generating_sequence``, whose products from the identity reach every
-    index, at O(n²k) cost.  If it finds a failure, the same search over
-    every element, O(n³), gives the lexicographically first failing triple
-    as the witness.
+    inverses, the Latin-square property, and associativity (Light's test,
+    see ``_verify_shaped``).  Raises GroupAxiomError with a witness on the
+    first failure.  If the identity is not at index 0 the table is relabeled
+    by the transposition moving it there.
 
     The shape check runs on every call.  An entry passes it exactly when
     ``type(v) is int`` and 0 <= v < n, as in the file loaders, so a bool or
@@ -154,8 +144,21 @@ def verify_group_axioms(table: Sequence[Sequence[int]]) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
-    """The checks of ``verify_group_axioms`` after the shape check.  The group
-    is built unchecked for Light's test and interned once every check passed."""
+    """The checks of ``verify_group_axioms`` after the shape check, on the
+    raw table; the group is built and interned once every check passed.
+
+    Light's test: the s with (a·s)·c = a·(s·c) for all a, c include the
+    identity e and are closed under products (if s and t pass, so does s·t).
+    ``greedy_subgroup`` from e over every index gives gens and H, the values
+    reached from e by right products with gens.  If every g in gens passes,
+    so does everything in H; so when H is every index, ``_nonassociative``
+    over gens, O(n²·|gens|), finding nothing proves the table associative.
+    When H is not every index the table is not a group: in a group each
+    reached set is a subgroup, whose order divides n, so the pass keeps
+    every g outside H until H is everything.  A table that passed the
+    identity, inverse and Latin-square checks and is not a group is not
+    associative.  So on either failure the search over every element, O(n³),
+    finds a witness, the lexicographically first failing triple."""
     n = len(table)
     identity = _raw_identity(table)
     if identity is None:
@@ -173,15 +176,13 @@ def _verify_shaped(table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
         if len(col) != n:
             raise GroupAxiomError("latin-square", (b,), f"column {b} is not a permutation")
 
-    perm = list(range(n))
-    perm[0], perm[identity] = identity, 0
-    tab = relabel_table(table, perm) if identity else table
-    # Light's test on the raw table, so that the witness is in raw indices:
-    # the transposition perm carries the relabeled generators back to it.
-    if _nonassociative(table, [perm[s] for s in generating_sequence(_group_of.__wrapped__(tab))]):
+    gens, H = greedy_subgroup(identity, range(n), lambda x, g: table[x][g], n)
+    if len(H) < n or _nonassociative(table, gens):
         a, b, c = _nonassociative(table, range(n))
         raise GroupAxiomError("associativity", (a, b, c), f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})")
-    return _group_of(tab)
+    perm = list(range(n))
+    perm[0], perm[identity] = identity, 0
+    return _group_of(relabel_table(table, perm) if identity else table)
 
 
 @lru_cache(maxsize=None)
@@ -346,16 +347,9 @@ def all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
 
 
 def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
-    """A deterministic (greedy, increasing-index) generating sequence."""
-    gens: list[int] = []
-    current = frozenset({0})
-    for x in G.elements():
-        if x not in current:
-            gens.append(x)
-            current = subgroup_closure(G, gens)
-            if len(current) == G.order:
-                break
-    return tuple(gens)
+    """A deterministic generating sequence: ``greedy_subgroup`` in increasing
+    index order keeps each element outside the subgroup of those before."""
+    return tuple(greedy_subgroup(0, G.elements(), lambda x, g: G.table[x][g], G.order)[0])
 
 
 def extend_hom(m: dict[int, int], pairs: Sequence[tuple[int, int]],
@@ -513,34 +507,37 @@ def orbit(start, gens: Sequence, step: Callable, bound: int) -> Optional[list]:
     return reached
 
 
-def sylow_subgroup(perms: Sequence[bytes], p: int) -> tuple[bytes, ...]:
-    """A Sylow p-subgroup of a group of permutations in ``flat_permutation``
-    form, identity first.
-
-    One greedy pass over ``perms``: H starts trivial and takes g whenever
-    ⟨H, g⟩ is still a p-group, that is, when its order divides the p-part
-    of |perms| (every subgroup order divides |perms|).  The result is a
-    maximal p-subgroup, hence a Sylow p-subgroup.  A g rejected early stays
-    rejectable, since ⟨H_old, g⟩ ⊆ ⟨H, g⟩ and a subgroup of a p-group is a
-    p-group.  The pass stops once |H| is the p-part, and a closure is
-    abandoned as soon as it outgrows it.
-    """
-    p_part = 1
-    while len(perms) % (p_part * p) == 0:
-        p_part *= p
-    gens: list[bytes] = []
-    H = [_IDENTITY_TABLE]
-    members = set(H)
-    for g in perms:
-        if len(H) == p_part:
+def greedy_subgroup(identity, items: Iterable, step: Callable, bound: int) -> tuple[list, list]:
+    """One greedy pass over ``items`` growing gens and H, the ``orbit`` of
+    ``identity`` under gens by ``step``, identity first: a g already in H is
+    skipped, and g joins gens when the orbit under gens + [g] has at most
+    ``bound`` values and its size divides ``bound``.  The pass stops once
+    |H| is ``bound``.  In a group of order ``bound`` each such orbit is a
+    subgroup, so by Lagrange every g outside H is kept."""
+    gens, H, members = [], [identity], {identity}
+    for g in items:
+        if len(H) == bound:
             break
         if g in members:
             continue
-        K = orbit(_IDENTITY_TABLE, gens + [g], bytes.translate, p_part)
-        if K is not None and p_part % len(K) == 0:
+        K = orbit(identity, gens + [g], step, bound)
+        if K is not None and bound % len(K) == 0:
             gens.append(g)
             H, members = K, set(K)
-    return tuple(H)
+    return gens, H
+
+
+def sylow_subgroup(perms: Sequence[bytes], p: int) -> tuple[bytes, ...]:
+    """A Sylow p-subgroup of a group of permutations in ``flat_permutation``
+    form, identity first: ``greedy_subgroup`` bounded by the p-part of
+    |perms| takes g whenever ⟨H, g⟩ is still a p-group, that is, when its
+    order divides the p-part.  That is a maximal p-subgroup, hence a Sylow
+    p-subgroup: a g rejected early stays rejectable, since ⟨H_old, g⟩ ⊆
+    ⟨H, g⟩ and a subgroup of a p-group is a p-group."""
+    p_part = 1
+    while len(perms) % (p_part * p) == 0:
+        p_part *= p
+    return tuple(greedy_subgroup(_IDENTITY_TABLE, perms, bytes.translate, p_part)[1])
 
 
 def quotient_group(G: FiniteGroup, N: frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:

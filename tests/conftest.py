@@ -234,6 +234,21 @@ def oracle_subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
     return frozenset(members)
 
 
+def oracle_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
+    """The greedy pass over ``subgroup_closure`` that ``greedy_subgroup``
+    replaced: in increasing index order, keep every element outside the
+    subgroup the kept ones generate, until it is all of G."""
+    gens: list[int] = []
+    current = frozenset({0})
+    for x in G.elements():
+        if x not in current:
+            gens.append(x)
+            current = subgroup_closure(G, gens)
+            if len(current) == G.order:
+                break
+    return tuple(gens)
+
+
 def oracle_normal_closure(G: FiniteGroup, seed) -> frozenset[int]:
     """Fixpoint: close under conjugation and products until stable."""
     current = oracle_subgroup_closure(G, seed)

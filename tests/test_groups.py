@@ -20,6 +20,8 @@ from bracekit.groups import (
     element_orders,
     extend_hom,
     flat_permutation,
+    generating_sequence,
+    greedy_subgroup,
     group_signature,
     is_abelian,
     normal_closure,
@@ -50,6 +52,7 @@ from conftest import (
     klein_group,
     oracle_dihedral,
     oracle_extend_hom,
+    oracle_generating_sequence,
     oracle_search_maps,
     permutation_table,
 )
@@ -418,6 +421,23 @@ def test_sylow_subgroup_of_a_symmetric_group(n, p, order):
     assert P[0] == flat_permutation(range(n))
     assert len(set(P)) == len(P) == order
     assert {q.translate(r) for r in P for q in P} == set(P)
+
+
+@pytest.mark.parametrize("name, G", AUTOMORPHISM_ORACLE_GROUPS, ids=[name for name, _ in AUTOMORPHISM_ORACLE_GROUPS])
+def test_generating_sequence_matches_the_subgroup_closure_oracle(name, G):
+    assert generating_sequence(G) == oracle_generating_sequence(G)
+
+
+def test_a_loop_the_greedy_pass_cannot_grow_fails_associativity():
+    """Every element of this loop (Hypothesis, n=5, seed=202) squares to 0,
+    so each ⟨g⟩ has 2 elements, which does not divide 5: the pass keeps no
+    generator, and Light's test takes |H| < n as a failure and reports the
+    full search's witness."""
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    assert greedy_subgroup(0, range(5), lambda x, g: loop[x][g], 5) == ([], [0])
+    with pytest.raises(GroupAxiomError) as info:
+        verify_group_axioms(loop)
+    assert (info.value.axiom, info.value.witness) == ("associativity", (1, 1, 2))
 
 
 def test_sylow_subgroup_of_the_trivial_group_is_the_identity():
