@@ -25,6 +25,7 @@ from .braces import (
 )
 from .groups import (
     _IDENTITY_TABLE,
+    NON_GENERATOR_BOUND,
     FiniteGroup,
     GroupAxiomError,
     automorphism_group,
@@ -35,7 +36,6 @@ from .groups import (
     sylow_subgroup,
 )
 from .grouptables import groups_of_order
-from .invariants import NON_GENERATOR_BOUND, brace_report, theorem_checks
 
 METHOD = "holomorph"
 # The skew braces of order n = 1, …, MAX_ORDER up to isomorphism
@@ -253,27 +253,19 @@ def enumerate_braces(n: int) -> BraceCatalog:
     return catalog
 
 
-def _sweep_row(index: int, group_name: str, A: SkewBrace, desc_bound: int) -> dict:
-    row = {"index": index, "additive_name": group_name}
-    row.update(brace_report(A))
-    row["star_identities"] = check_star_identities(A).status
-    row["checks"] = {r.name: r.status for r in theorem_checks(A, desc_bound)}
-    return row
-
-
-def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
-    """The body of a forked sweep worker: write the rows of ``tasks`` to the
-    pipe ``w`` as one JSON message, or, if one of them raised, a zero byte
-    followed by the pickled exception, then end the process.  It never
-    returns into the caller, so it never flushes the parent's stdio buffers
-    or runs its ``atexit`` handlers; any failure to send ends it with
-    status 1."""
+def _sweep_child(row, tasks: list, inherited: list[int], w: int) -> NoReturn:
+    """The body of a forked sweep worker: write the rows ``row(*t)`` of
+    ``tasks`` to the pipe ``w`` as one JSON message, or, if one of them
+    raised, a zero byte followed by the pickled exception, then end the
+    process.  It never returns into the caller, so it never flushes the
+    parent's stdio buffers or runs its ``atexit`` handlers; any failure to
+    send ends it with status 1."""
     status = 1
     try:
         for fd in inherited:  # the parent's read ends: closing one must fail its writer
             os.close(fd)
         try:
-            message = json.dumps([_sweep_row(*t) for t in tasks]).encode()
+            message = json.dumps([row(*t) for t in tasks]).encode()
         except Exception as exc:
             import pickle  # only a row that raised needs it
 
@@ -285,14 +277,14 @@ def _sweep_child(tasks: list, inherited: list[int], w: int) -> NoReturn:
         os._exit(status)
 
 
-def _forked_rows(tasks: list, workers: int) -> list[dict]:
-    """The rows of ``tasks`` in order, cut into ``workers`` contiguous
-    slices: slices 1, 2, … each in a forked child, slice 0 here.  At one
-    worker nothing is forked and every row is computed here.  A worker's
-    message is JSON (it starts with ``[``) unless its first byte is zero,
-    which marks the pickled exception of a row that raised, re-raised here
-    as is.  Rows round-trip through JSON exactly: they hold only str keys,
-    ints, strs, bools and lists."""
+def _forked_rows(row, tasks: list, workers: int) -> list[dict]:
+    """The rows ``row(*t)`` of ``tasks`` in order, cut into ``workers``
+    contiguous slices: slices 1, 2, … each in a forked child, slice 0 here.
+    At one worker nothing is forked and every row is computed here.  A
+    worker's message is JSON (it starts with ``[``) unless its first byte is
+    zero, which marks the pickled exception of a row that raised, re-raised
+    here as is.  Rows round-trip through JSON exactly: they hold only str
+    keys, ints, strs, bools and lists."""
     cut = [k * len(tasks) // workers for k in range(workers + 1)]
     pids: list[int] = []
     reads: list[int] = []
@@ -303,13 +295,13 @@ def _forked_rows(tasks: list, workers: int) -> list[dict]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _sweep_child(tasks[cut[k]:cut[k + 1]], reads, w)
+                    _sweep_child(row, tasks[cut[k]:cut[k + 1]], reads, w)
             finally:
                 # Before the next fork: a later child holding this write end
                 # would keep the read below from ever seeing EOF.
                 os.close(w)
             pids.append(pid)
-        rows = [_sweep_row(*t) for t in tasks[:cut[1]]]
+        rows = [row(*t) for t in tasks[:cut[1]]]
         for r in reads:
             with open(r, "rb", closefd=False) as pipe:
                 message = pipe.read()
@@ -352,14 +344,19 @@ def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
     been reaped when this returns or raises.  As with any fork, a caller
     that runs other threads should pass ``jobs=1``.  Entries were verified
     when the catalog was built or loaded, so each row takes its brace as
-    is.
+    is.  ``invariants`` is imported here, before any worker is forked, so
+    the workers inherit it and ``enumerate`` never loads it.
     """
-    tasks = [
-        (i, name, A, desc_bound)
-        for i, (name, A) in enumerate(zip(catalog.additive_names, catalog.braces))
-    ]
+    from .invariants import brace_report, theorem_checks
+
+    def sweep_row(index: int, group_name: str, A: SkewBrace) -> dict:
+        return {"index": index, "additive_name": group_name, **brace_report(A),
+                "star_identities": check_star_identities(A).status,
+                "checks": {r.name: r.status for r in theorem_checks(A, desc_bound)}}
+
+    tasks = [(i, *entry) for i, entry in enumerate(zip(catalog.additive_names, catalog.braces))]
     workers = max(1, min(jobs, len(tasks), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
-    rows = _forked_rows(tasks, workers)
+    rows = _forked_rows(sweep_row, tasks, workers)
 
     aggregate: dict[str, dict[str, int]] = {}
     for row in rows:

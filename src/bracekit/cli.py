@@ -25,45 +25,13 @@ from typing import Optional, Sequence
 
 from .braces import BraceAxiomError, check_star_identities
 from .catalog import METHOD, BraceCatalog, catalog_invariant_sweep, enumerate_braces
-from .formats import (
-    InputFormatError,
-    brace_payload,
-    dump,
-    dumps,
-    load_brace,
-    load_solution,
-    solution_payload,
-)
-from .groups import BoundExceededError, GroupAxiomError, group_signature
+from .formats import (InputFormatError, brace_payload, dump, dumps, load_brace, load_solution,
+                      solution_payload)
+from .groups import NON_GENERATOR_BOUND, BoundExceededError, GroupAxiomError, group_signature
 from .grouptables import MAX_ORDER
-from .ideals import (
-    a2,
-    all_ideals,
-    annihilator,
-    is_prime_ideal,
-    is_small_ideal,
-    maximal_ideals,
-    socle,
-)
-from .invariants import (
-    NON_GENERATOR_BOUND,
-    brace_report,
-    radical,
-    theorem_checks,
-    weight,
-    wedderburn_decompose,
-)
-from .ybe import (
-    SetSolution,
-    check_solution,
-    derived_solution,
-    is_indecomposable_derived,
-    is_nondegenerate,
-    is_quandle,
-    permutation_group,
-    solution_from_brace,
-    solution_orbits,
-)
+
+# Each handler imports what only its command uses (``ideals``, ``invariants``
+# or ``ybe``), so a command process loads no module it does not run.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,6 +67,8 @@ def _emit(payload, out: Optional[str] = None, what: str = "") -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .ideals import a2, annihilator, socle
+
     A = load_brace(args.brace)
     print("valid skew brace")
     print(f"  order: {A.order}")
@@ -113,6 +83,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .invariants import brace_report
+
     A = load_brace(args.brace)
     payload = brace_report(A)
     if args.json:
@@ -124,6 +96,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from .ideals import all_ideals, is_prime_ideal, is_small_ideal, maximal_ideals
+
     A = load_brace(args.brace)
     lattice = all_ideals(A)
     maxima = set(maximal_ideals(A))
@@ -162,6 +136,8 @@ def _write_hasse_dot(lattice, path: Path) -> None:
 
 
 def _cmd_radical(args) -> int:
+    from .invariants import radical
+
     A = load_brace(args.brace)
     report = radical(A, desc_bound=args.desc_bound)
     print(f"radical: {sorted(report.radical)}")
@@ -174,6 +150,8 @@ def _cmd_radical(args) -> int:
 
 
 def _cmd_weight(args) -> int:
+    from .invariants import weight
+
     A = load_brace(args.brace)
     cert = weight(A)
     print(f"weight = {cert.weight}")
@@ -182,6 +160,8 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .invariants import wedderburn_decompose
+
     A = load_brace(args.brace)
     decomp = wedderburn_decompose(A)
     print(f"A/Rad(A) has order {decomp.semisimple_quotient.order}")
@@ -203,7 +183,9 @@ def _catalog(order) -> BraceCatalog:
     return enumerate_braces(n)
 
 
-def _nondegenerate_solution(path: str) -> SetSolution:
+def _nondegenerate_solution(path: str):
+    from .ybe import is_nondegenerate
+
     S = load_solution(path)
     if not is_nondegenerate(S):
         raise InputFormatError(f"{path}: this command needs a non-degenerate solution")
@@ -218,6 +200,8 @@ def _resolve_theoremcheck_braces(target: str):
 
 
 def _cmd_theoremcheck(args) -> int:
+    from .invariants import theorem_checks
+
     entries = _resolve_theoremcheck_braces(args.target)
     rows = []
     any_failed = False
@@ -268,6 +252,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ybe_check(args) -> int:
+    from .ybe import check_solution
+
     S = load_solution(args.solution)
     report = check_solution(S)
     for key, value in report._asdict().items():
@@ -283,12 +269,16 @@ def _cmd_ybe_check(args) -> int:
 
 
 def _cmd_ybe_from_brace(args) -> int:
+    from .ybe import solution_from_brace
+
     A = load_brace(args.brace)
     _emit(solution_payload(solution_from_brace(A)), args.out, "solution")
     return EXIT_OK
 
 
 def _cmd_ybe_derived(args) -> int:
+    from .ybe import derived_solution, is_indecomposable_derived, is_nondegenerate, is_quandle
+
     S = _nondegenerate_solution(args.solution)
     D = derived_solution(S)
     _emit(solution_payload(D), args.out, "derived solution")
@@ -302,6 +292,8 @@ def _cmd_ybe_derived(args) -> int:
 
 
 def _cmd_ybe_group(args) -> int:
+    from .ybe import permutation_group, solution_orbits
+
     S = _nondegenerate_solution(args.solution)
     summary = permutation_group(S)
     print(f"permutation group order: {summary.order}")
@@ -318,89 +310,88 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_BRACE, _SOLUTION, _OUT = _arg("brace"), _arg("solution"), _arg("--out")
+_JSON = _arg("--json", action="store_true")
+_DESC_BOUND = _arg("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
+# name: (help, handler, arguments as ``add_argument`` takes them); ``ybe``
+# has no handler, and its arguments are its sub-commands, each as
+# (name, handler, arguments).
+_COMMANDS = {
+    "verify": ("validate a brace JSON file", _cmd_verify, [_BRACE]),
+    "report": ("full invariant report for a brace", _cmd_report, [
+        _BRACE, _JSON, _arg("--desc-bound", type=int, default=NON_GENERATOR_BOUND,
+                            help="accepted for compatibility; does not change the report")]),
+    "ideals": ("print the ideal lattice", _cmd_ideals, [
+        _BRACE, _arg("--dot", help="write a Hasse-diagram DOT file")]),
+    "radical": ("radical report", _cmd_radical, [_BRACE, _DESC_BOUND]),
+    "weight": ("weight with certificate", _cmd_weight, [_BRACE]),
+    "decompose": ("Wedderburn-type decomposition of A/Rad(A)", _cmd_decompose, [_BRACE]),
+    "theoremcheck": ("run all theorem checks", _cmd_theoremcheck, [
+        _arg("target", help="brace JSON path or corpus:<order>"), _JSON, _DESC_BOUND]),
+    "enumerate": ("enumerate all braces of one order", _cmd_enumerate, [
+        _arg("order", type=int), _arg("--method", choices=[METHOD], default=METHOD),
+        _arg("--out", help="directory for brace JSON files plus manifest")]),
+    "sweep": ("invariant sweep over a whole order", _cmd_sweep, [
+        _arg("order", type=int),
+        _arg("--jobs", type=_positive_int, default=1,
+             help="worker processes (at least 1; at most one per CPU); "
+                  "serial where os.fork does not exist, as on Windows"),
+        _DESC_BOUND, _arg("--out", help="write the JSON payload to a file")]),
+    "ybe": ("set-theoretic solution commands", None, [
+        ("check", _cmd_ybe_check, [_SOLUTION, _arg("--witness", action="store_true")]),
+        ("from-brace", _cmd_ybe_from_brace, [_BRACE, _OUT]),
+        ("derived", _cmd_ybe_derived, [_SOLUTION, _OUT]),
+        ("group", _cmd_ybe_group, [_SOLUTION]),
+    ]),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, handler, arguments) -> None:
+    """Give ``parser`` the arguments and handler of one ``_COMMANDS`` entry."""
+    if handler is None:
+        sub = parser.add_subparsers(dest="ybe_command", required=True)
+        for name, sub_handler, sub_arguments in arguments:
+            _add_command(sub.add_parser(name), sub_handler, sub_arguments)
+        return
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=handler)
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser tree, built once per process: ``parse_args`` returns a
-    fresh namespace on every call, so repeated ``main`` calls in one process
-    share no state."""
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of all commands, or with a ``command`` the parser of that
+    command alone: the same arguments, help and usage errors, except that
+    argparse reports unrecognized arguments with the usage line of the
+    parser it was given.  Each is built once per process: ``parse_args``
+    returns a fresh namespace on every call, so repeated ``main`` calls in
+    one process share no state."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"bracekit {command}")
+        _add_command(parser, *_COMMANDS[command][1:])
+        return parser
     parser = argparse.ArgumentParser(
         prog="bracekit",
         description="Finite skew left braces, their invariants, and YBE solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="validate a brace JSON file")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("report", help="full invariant report for a brace")
-    p.add_argument("brace")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND,
-                   help="accepted for compatibility; does not change the report")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("ideals", help="print the ideal lattice")
-    p.add_argument("brace")
-    p.add_argument("--dot", help="write a Hasse-diagram DOT file")
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("radical", help="radical report")
-    p.add_argument("brace")
-    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser("weight", help="weight with certificate")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_weight)
-
-    p = sub.add_parser("decompose", help="Wedderburn-type decomposition of A/Rad(A)")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("theoremcheck", help="run all theorem checks")
-    p.add_argument("target", help="brace JSON path or corpus:<order>")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
-    p.set_defaults(func=_cmd_theoremcheck)
-
-    p = sub.add_parser("enumerate", help="enumerate all braces of one order")
-    p.add_argument("order", type=int)
-    p.add_argument("--method", choices=[METHOD], default=METHOD)
-    p.add_argument("--out", help="directory for brace JSON files plus manifest")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("sweep", help="invariant sweep over a whole order")
-    p.add_argument("order", type=int)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (at least 1; at most one per CPU); "
-                        "serial where os.fork does not exist, as on Windows")
-    p.add_argument("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
-    p.add_argument("--out", help="write the JSON payload to a file")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("ybe", help="set-theoretic solution commands")
-    ybe_sub = p.add_subparsers(dest="ybe_command", required=True)
-    q = ybe_sub.add_parser("check")
-    q.add_argument("solution")
-    q.add_argument("--witness", action="store_true")
-    q.set_defaults(func=_cmd_ybe_check)
-    q = ybe_sub.add_parser("from-brace")
-    q.add_argument("brace")
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_ybe_from_brace)
-    q = ybe_sub.add_parser("derived")
-    q.add_argument("solution")
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_ybe_derived)
-    q = ybe_sub.add_parser("group")
-    q.add_argument("solution")
-    q.set_defaults(func=_cmd_ybe_group)
+    for name, (help_, handler, arguments) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), handler, arguments)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        # No known command, or unrecognized arguments: the parser of all
+        # commands prints the usage error, with its own usage line.
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputFormatError, GroupAxiomError, BraceAxiomError) as exc:

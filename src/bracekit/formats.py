@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .braces import DEFAULT_PRODUCT_BOUND, SkewBrace, verify_brace
 from .groups import BoundExceededError
-from .ybe import SetSolution
+
+if TYPE_CHECKING:
+    from .ybe import SetSolution
 
 # The largest order or size a file may declare, checked before any table is
 # read: the product bound, so every table bracekit builds can be loaded back.
@@ -84,6 +86,8 @@ def brace_payload(A: SkewBrace) -> dict:
 
 def load_solution(path: Union[str, Path]) -> SetSolution:
     """Solution JSON: {"size": n, "sigma": [[...]], "tau": [[...]]}."""
+    from .ybe import SetSolution  # only solution commands load ``ybe``
+
     payload = _load_json(path)
     n = _declared_order(payload, "size")
     sigma = _check_table(payload, "sigma", n)

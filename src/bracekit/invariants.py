@@ -21,6 +21,7 @@ from .braces import (
     zero_brace,
 )
 from .groups import (
+    NON_GENERATOR_BOUND,
     _cosets,
     commutator_subgroup,
     generating_sequence,
@@ -43,8 +44,6 @@ from .ideals import (
     star_product,
     sub_brace,
 )
-
-NON_GENERATOR_BOUND = 8
 
 
 class RadicalReport(NamedTuple):

@@ -157,18 +157,13 @@ def is_quandle(S: SetSolution) -> bool:
 
 
 def _orbits_of_maps(n: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The classes of the least equivalence on 0..n-1 relating each y to
-    every m[y], sorted, in order of least member: the points reached from x
-    (``orbit``) joined with the earlier classes they meet, of which there
-    is none when the maps are permutations."""
+    """The orbits on 0..n-1 of the group the permutations ``maps``
+    generate, sorted, in order of least member: the points reached from
+    each x (``orbit``) that no earlier orbit holds."""
     label: list[Optional[int]] = [None] * n
     for x in range(n):
         if label[x] is None:
-            reached = orbit(x, maps, lambda y, m: m[y], n)
-            met = {label[y] for y in reached} - {None}
-            if met:
-                reached += [y for y in range(n) if label[y] in met]
-            for y in reached:
+            for y in orbit(x, maps, lambda y, m: m[y], n):
                 label[y] = x
     classes: dict[Optional[int], list[int]] = {}
     for y in range(n):
@@ -202,7 +197,10 @@ def permutation_group(S: SetSolution) -> PermutationGroupSummary:
 
 
 def solution_orbits(S: SetSolution) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group generated by all sigma_x and tau_y."""
+    """Orbits of the group generated by all sigma_x and tau_y; non-degenerate
+    solutions only."""
+    if not is_nondegenerate(S):
+        raise ValueError("solution orbits require a non-degenerate solution")
     maps = [S.sigma[x] for x in range(S.size)] + [S.tau[y] for y in range(S.size)]
     return _orbits_of_maps(S.size, maps)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit.catalog
+import bracekit.invariants
 from bracekit.braces import brace_isomorphic, verify_brace
 from bracekit.catalog import (
     _build_catalog,
@@ -448,8 +449,8 @@ def _on_last_order_8_entry(monkeypatch, action):
     """Make the sweep row of the last order-8 entry run ``action()`` instead
     of its report.  At two workers that entry is in the forked slice."""
     last = enumerate_braces(8).braces[-1]
-    report = bracekit.catalog.brace_report
-    monkeypatch.setattr(bracekit.catalog, "brace_report",
+    report = bracekit.invariants.brace_report
+    monkeypatch.setattr(bracekit.invariants, "brace_report",
                         lambda A: action() if A == last else report(A))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
@@ -492,14 +493,14 @@ def _padded_report(monkeypatch, parent_raises):
     message fits in its pipe; with ``parent_raises`` the parent's own rows
     raise ``_ParentSliceError`` instead."""
     parent = os.getpid()
-    report = bracekit.catalog.brace_report
+    report = bracekit.invariants.brace_report
 
     def padded(A):
         if parent_raises and os.getpid() == parent:
             raise _ParentSliceError
         return {**report(A), "padding": "x" * (1 << 16)}
 
-    monkeypatch.setattr(bracekit.catalog, "brace_report", padded)
+    monkeypatch.setattr(bracekit.invariants, "brace_report", padded)
 
 
 def test_sweep_parent_error_beside_a_full_pipe_propagates(monkeypatch):

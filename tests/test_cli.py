@@ -198,7 +198,7 @@ def test_crash_exits_4_not_check_failed(ring_path, monkeypatch, capsys):
     def crash(A):
         raise AssertionError("factor product is not isomorphic to A/Rad(A)")
 
-    monkeypatch.setattr(cli, "wedderburn_decompose", crash)
+    monkeypatch.setattr(invariants, "wedderburn_decompose", crash)
     assert main(["decompose", ring_path]) == cli.EXIT_INTERNAL_ERROR == 4
     captured = capsys.readouterr()
     assert "internal error: AssertionError: factor product" in captured.err
@@ -479,6 +479,31 @@ def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
     assert reused == fresh
     assert sweep_out.read_bytes() == reused_sweep
     assert "braid_witness" in reused[4][1] and "braid_witness" not in reused[6][1]
+
+
+@pytest.mark.parametrize("argv, code, out_start, err_end", [
+    ("--help", 0, "usage: bracekit [-h]", ""),
+    ("ybe --help", 0, "usage: bracekit ybe [-h] {check,from-brace,derived,group} ...", ""),
+    ("sweep --help", 0, "usage: bracekit sweep [-h] [--jobs JOBS]", ""),
+    ("ybe check --help", 0, "usage: bracekit ybe check [-h] [--witness] solution", ""),
+    ("verify", 2, "", "bracekit verify: error: the following arguments are required: brace"),
+    ("verify a b", 2, "", "bracekit: error: unrecognized arguments: b"),
+    ("enumerate x", 2, "", "bracekit enumerate: error: argument order: invalid int value: 'x'"),
+    ("enumerate 3 --frob", 2, "", "bracekit: error: unrecognized arguments: --frob"),
+    ("sweep 6 --jobs 0", 2, "", "bracekit sweep: error: argument --jobs: must be at least 1, got 0"),
+    ("frob", 2, "", "bracekit: error: argument command: invalid choice: 'frob'"),
+    ("ybe", 2, "", "bracekit ybe: error: the following arguments are required: ybe_command"),
+])
+def test_help_and_usage_errors_are_those_of_the_full_parser(argv, code, out_start, err_end, capsys):
+    """``main`` prints, byte for byte, what the parser of every command prints
+    for a help request or a usage error, and exits as it does."""
+    outcome = _outcome(argv.split(), capsys)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv.split())
+    assert outcome == (exc.value.code, *capsys.readouterr())
+    assert outcome[0] == code
+    assert outcome[1].startswith(out_start) and (outcome[1] == "") == (out_start == "")
+    assert outcome[2].rstrip("\n").split("\n")[-1].startswith(err_end)
 
 
 def test_ybe_group_on_a_huge_permutation_group_exits_3_fast(tmp_path, capsys):

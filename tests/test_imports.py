@@ -125,3 +125,66 @@ def test_parallel_sweep_loads_no_process_pool(tmp_path):
             "assert forks == [1]")
     names = {"pickle", "concurrent.futures", "multiprocessing"}
     assert _modules_loaded_by(code, names, env) == []
+
+
+def test_enumerate_loads_no_ideals_invariants_or_ybe(tmp_path):
+    """``import bracekit.cli`` and an ``enumerate`` load none of the modules
+    that only other commands use."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "BRACEKIT_CACHE": str(tmp_path / "cache")}
+    names = {"bracekit.ideals", "bracekit.invariants", "bracekit.ybe"}
+    assert _modules_loaded_by("import bracekit.cli", names, env) == []
+    code = "from bracekit.cli import main; assert main(['enumerate', '3']) == 0"
+    assert _modules_loaded_by(code, names, env) == []
+
+
+def test_sweep_loads_invariants_before_it_forks(tmp_path):
+    """``sweep 8 --jobs 2`` imports ``invariants`` before its worker is forked,
+    so the worker inherits the module rather than importing it again."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "BRACEKIT_CACHE": str(tmp_path / "cache")}
+    code = ("import os, sys; os.cpu_count = lambda: 2; loaded = []; fork = os.fork; "
+            "os.fork = lambda: loaded.append('bracekit.invariants' in sys.modules) or fork(); "
+            "from bracekit.cli import main; "
+            f"assert main(['sweep', '8', '--jobs', '2', '--out', {str(tmp_path / 's.json')!r}]) == 0; "
+            "assert loaded == [True], loaded")
+    assert _modules_loaded_by(code, {"bracekit.invariants"}, env) == ["bracekit.invariants"]
+
+
+EXPORTS = {  # the package's re-exports, by the module that defines each
+    "groups": """BoundExceededError FiniteGroup GroupAxiomError all_normal_subgroups
+        automorphism_group center commutator_subgroup normal_closure quotient_group
+        subgroup_closure verify_group_axioms""",
+    "braces": """BraceAxiomError BraceMorphism CheckReport SkewBrace brace_automorphism_group
+        brace_isomorphic check_star_identities direct_product semidirect_product
+        trivial_brace verify_brace zero_brace""",
+    "ideals": """a2 all_ideals annihilator fix ideal_closure is_ideal is_left_ideal
+        is_prime_ideal is_small_ideal maximal_ideals quotient_brace socle star_product
+        sub_brace""",
+    "invariants": """Decomposition RadicalReport SolvableSeries WeightCertificate is_perfect
+        is_simple is_solvable radical schur_embedding solvable_series theorem_checks
+        wedderburn_decompose weight""",
+    "ybe": """SetSolution check_solution derived_solution is_indecomposable_derived
+        is_quandle is_trivial_solution make_solution permutation_group
+        solution_from_brace solution_orbits""",
+    "catalog": "BraceCatalog catalog_invariant_sweep enumerate_braces",
+}
+
+
+def test_every_package_export_resolves_and_is_listed():
+    """Each of the 63 names the package re-exports is in ``dir(bracekit)``
+    and imports from it, in a fresh process, as the object its module
+    defines; any other name is an ``AttributeError``."""
+    exports = {name: module for module, names in EXPORTS.items() for name in names.split()}
+    assert len(exports) == 63
+    code = f"""
+import bracekit, importlib
+exports = {exports!r}
+assert set(exports) <= set(dir(bracekit))
+for name, module in exports.items():
+    exec(f"from bracekit import {{name}} as value")
+    assert value is getattr(importlib.import_module(f"bracekit.{{module}}"), name), name
+assert not hasattr(bracekit, "no_such_name")
+"""
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC.parent)})

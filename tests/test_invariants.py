@@ -192,7 +192,7 @@ def test_individual_check_statuses(ring_brace, s3_brace):
     assert check_square_free(trivial_brace(cyclic(6))).status == "pass"
     assert check_prop_inc(ring_brace).status == "pass"
     assert check_prop_desc(ring_brace).status == "pass"
-    assert check_prop_desc(trivial_brace(dihedral(5))).status == "na"  # order 10 > bound
+    assert check_prop_desc(trivial_brace(dihedral(5)), bound=8).status == "na"  # order 10 > bound
     assert check_prop_a2(ring_brace).status == "pass"
     assert schur_embedding(ring_brace).status == "pass"
 

@@ -6,7 +6,10 @@ the ``theoremcheck corpus:8|12 --json`` output.  These tests run the same
 commands in-process and require the same digests and exit codes, so any
 refactor that changes a byte of the catalog or the sweep fails here.  Each
 command runs twice in one cache directory: the first run builds the catalog
-and stores it, the second reads it back from the disk cache.
+and stores it, the second reads it back from the disk cache.  The digests of
+``sweep 12`` and ``theoremcheck corpus:12 --json`` at the default
+``--desc-bound`` (16, so ``prop-desc`` is checked at order 12) are pinned
+here, beside the benchmark's.
 """
 
 import hashlib
@@ -20,6 +23,10 @@ from bracekit.cli import main
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())
 DESC_BOUND = "8"
+DEFAULT_BOUND_SHA256 = {
+    "sweep": "3a6d4d68446f7de2e913dc5d0d4583dcadccc30341bc50637f7ac42099d928e9",
+    "theoremcheck": "fc36f9367b53aea24698e0317f69d51afae9790b6a3435c36b7c786c1958e347",
+}
 
 
 def sha256_tree(path: Path) -> str:
@@ -55,3 +62,16 @@ def test_theoremcheck_output_matches_reference(n, capsys):
         assert code == REFERENCES["theoremcheck_exit"][n], run
         stdout = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(stdout).hexdigest() == REFERENCES["theoremcheck_sha256"][n], run
+
+
+def test_default_bound_order_12_matches_reference(tmp_path, capsys):
+    """At the default bound ``prop-desc`` passes on all 38 braces of order 12."""
+    for run in ("cold", "warm"):
+        out = tmp_path / f"sweep_12_{run}.json"
+        assert main(["sweep", "12", "--out", str(out)]) == 0, run
+        assert json.loads(out.read_bytes())["aggregate"]["prop-desc"] == {"pass": 38, "fail": 0, "na": 0}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_BOUND_SHA256["sweep"], run
+        capsys.readouterr()
+        assert main(["theoremcheck", "corpus:12", "--json"]) == 0, run
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == DEFAULT_BOUND_SHA256["theoremcheck"], run

@@ -222,10 +222,8 @@ def test_close_permutations_bounds_stored_integers(monkeypatch):
 
 
 def solution_maps(n: int):
-    """(n, sigma, tau) for sigma and tau lists of n maps of 0..n-1, each a
-    permutation or any map."""
-    one_map = st.permutations(range(n)) | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
-    maps = st.lists(one_map.map(tuple), min_size=n, max_size=n)
+    """(n, sigma, tau) for sigma and tau lists of n permutations of 0..n-1."""
+    maps = st.lists(st.permutations(range(n)).map(tuple), min_size=n, max_size=n)
     return st.tuples(st.just(n), maps, maps)
 
 
@@ -237,6 +235,12 @@ def solution_maps(n: int):
 def test_solution_orbits_match_the_union_find_oracle(case):
     n, sigma, tau = case
     assert solution_orbits(make_solution(sigma, tau)) == oracle_orbits_of_maps(n, sigma + tau)
+
+
+def test_solution_orbits_refuse_a_degenerate_solution():
+    """tau_0 sends both points to 0: not a permutation."""
+    with pytest.raises(ValueError, match="non-degenerate"):
+        solution_orbits(make_solution([(0, 1), (0, 1)], [(0, 0), (0, 1)]))
 
 
 @cache
