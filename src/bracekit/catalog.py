@@ -32,6 +32,7 @@ from .groups import (
     flat_permutation,
     greedy_subgroup,
     orbit,
+    orbits,
     search_homs,
     sylow_subgroup,
 )
@@ -131,26 +132,20 @@ def _classes(G: FiniteGroup) -> list[SkewBrace]:
     Braces with additive group G are isomorphic exactly when an additive
     automorphism carries one circle table to the other, so a class is an
     Aut(G,+)-orbit of tables, represented by its least member.  Each table
-    not yet seen has its orbit grown once under the generators S of Aut(G)
-    from ``_generators``, which is its orbit under ⟨S⟩ = Aut(G), and marked
-    as seen: |S| relabelings per orbit member, not |Aut| per class.  This
-    is exact without the table list being Aut-stable: every member of an
-    orbit has the same orbit, hence the same minimum, kept when it was
-    first marked; and the search returns a member of every orbit
-    (``_lambda_group``).  Tables are relabeled and compared as flat
+    that no earlier orbit holds has its orbit grown once (``orbits``) under
+    the generators S of Aut(G) from ``_generators``, which is its orbit
+    under ⟨S⟩ = Aut(G): |S| relabelings per orbit member, not |Aut| per
+    class.  This is exact without the table list being Aut-stable: every
+    member of an orbit has the same orbit, hence the same minimum, kept
+    when it was first reached; and the search returns a member of every
+    orbit (``_lambda_group``).  Tables are relabeled and compared as flat
     ``bytes``: for tables of one order, bytes order is the order of their
     rows as tuples.
     """
     n = G.order
     auts, tables = _circle_tables_holomorph(G)
     relabelings = [_relabeling(phi[:n]) for phi in _generators(auts)]
-    seen: set[bytes] = set()
-    canon = []
-    for flat in tables:
-        if flat not in seen:
-            members = orbit(flat, relabelings, lambda t, r: bytes(r[0](t)).translate(r[1]), len(auts))
-            seen.update(members)
-            canon.append(min(members))
+    canon = [min(o) for o in orbits(tables, relabelings, lambda t, r: bytes(r[0](t)).translate(r[1]), len(auts))]
     return [verify_brace(G.table, [c[i:i + n] for i in range(0, n * n, n)]) for c in sorted(canon)]
 
 

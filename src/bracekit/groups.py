@@ -308,44 +308,25 @@ def is_normal(G: FiniteGroup, S: frozenset[int]) -> bool:
     return all(G.conjugate(g, x) in S for g in G.elements() for x in S)
 
 
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    classes = []
-    for a in G.elements():
-        if a in seen:
-            continue
-        cls = {G.conjugate(g, a) for g in G.elements()}
-        seen |= cls
-        classes.append(tuple(sorted(cls)))
-    return tuple(classes)
-
-
 @lru_cache(maxsize=None)
 def all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Every normal subgroup, as joins of the normal closures of conjugacy classes.
 
     A normal subgroup is the union of the classes it contains, hence the
     join of their normal closures; and the subgroup generated by a class is
-    its normal closure, because the class is closed under conjugation.  So
-    starting from the trivial subgroup and joining, with a worklist, every
-    subgroup found with every class closure (N ∨ C = <N ∪ C>, normal when
-    N and C are) reaches each normal subgroup and nothing else.
+    its normal closure, because the class is closed under conjugation.  The
+    classes are the ``orbits`` of conjugation by ``generating_sequence(G)``,
+    which generates Inn(G).  So the ``orbit`` of the trivial subgroup under
+    joining with every class closure (N ∨ C = <N ∪ C>, normal when N and C
+    are) is every normal subgroup and nothing else; a subgroup is a subset
+    of G, so there are at most 2ⁿ.
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise BoundExceededError(f"order {G.order} exceeds the subgroup-lattice bound {DEFAULT_ORDER_BOUND}")
-    class_closures = {subgroup_closure(G, cls) for cls in conjugacy_classes(G)}
-    trivial = frozenset({0})
-    found = {trivial}
-    work = [trivial]
-    while work:
-        N = work.pop()
-        for C in class_closures:
-            if C <= N:
-                continue
-            J = subgroup_closure(G, N | C)
-            if J not in found:
-                found.add(J)
-                work.append(J)
+    classes = orbits(G.elements(), generating_sequence(G), lambda x, g: G.conjugate(g, x), G.order)
+    class_closures = {subgroup_closure(G, cls) for cls in classes}
+    found = orbit(frozenset({0}), class_closures,
+                  lambda N, C: N if C <= N else subgroup_closure(G, N | C), 2 ** G.order)
     return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
@@ -494,7 +475,8 @@ def orbit(start, gens: Sequence, step: Callable, bound: int) -> Optional[list]:
     stores value number ``bound + 1``.  For bijections of a finite set this
     is the orbit of ``start`` under the group they generate (inverses are
     positive powers).  ``subgroup_closure`` keeps its own loop, since a
-    step call per lookup made it ~35% slower, and ``extend_hom`` its own,
+    step call per lookup made it ~35% slower; ``element_orders`` its own,
+    since through ``orbit`` it was ~6× slower; and ``extend_hom`` its own,
     since it carries and checks an image per value.
     """
     seen = {start}
@@ -508,6 +490,18 @@ def orbit(start, gens: Sequence, step: Callable, bound: int) -> Optional[list]:
                 if len(reached) > bound:
                     return None
     return reached
+
+
+def orbits(points: Iterable, gens: Sequence, step: Callable, bound: int) -> list[list]:
+    """The distinct ``orbit``s of ``points``, in order of their first point:
+    each point that no earlier orbit holds starts one.  For bijections they
+    are the orbits that meet ``points`` of the group the steps generate."""
+    found, seen = [], set()
+    for x in points:
+        if x not in seen:
+            found.append(orbit(x, gens, step, bound))
+            seen.update(found[-1])
+    return found
 
 
 def greedy_subgroup(identity, items: Iterable, step: Callable, bound: int) -> tuple[list, list]:

@@ -397,10 +397,6 @@ def schur_embedding(A: SkewBrace) -> CheckReport:
                        (("cosets", len(values)), ("generators", gens)))
 
 
-THEOREM_CHECKS = ("gaschutz", "prop-np", "kutzko", "prop-a2", "wiegold",
-                  "prop-inc", "prop-desc", "square-free", "schur-embedding")
-
-
 def theorem_checks(A: SkewBrace, desc_bound: int = NON_GENERATOR_BOUND) -> tuple[CheckReport, ...]:
     """Run every theorem check on one brace."""
     return (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace
-from .groups import BoundExceededError, orbit
+from .groups import BoundExceededError, orbit, orbits
 
 # Integers the closure of ``permutation_group`` may store: permutations times
 # points.  That is 10**6 permutations of 10 points (no group on fewer points
@@ -25,9 +25,6 @@ class SetSolution(NamedTuple):
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
-
-    def elements(self) -> range:
-        return range(self.size)
 
 
 class SolutionReport(NamedTuple):
@@ -158,17 +155,8 @@ def is_quandle(S: SetSolution) -> bool:
 
 def _orbits_of_maps(n: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The orbits on 0..n-1 of the group the permutations ``maps``
-    generate, sorted, in order of least member: the points reached from
-    each x (``orbit``) that no earlier orbit holds."""
-    label: list[Optional[int]] = [None] * n
-    for x in range(n):
-        if label[x] is None:
-            for y in orbit(x, maps, lambda y, m: m[y], n):
-                label[y] = x
-    classes: dict[Optional[int], list[int]] = {}
-    for y in range(n):
-        classes.setdefault(label[y], []).append(y)
-    return tuple(map(tuple, classes.values()))
+    generate, sorted, in order of least member (``orbits``)."""
+    return tuple(tuple(sorted(o)) for o in orbits(range(n), maps, lambda y, m: m[y], n))
 
 
 def is_indecomposable_derived(S: SetSolution) -> tuple[bool, tuple[tuple[int, ...], ...]]:

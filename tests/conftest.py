@@ -25,7 +25,6 @@ from bracekit.groups import (
     _raw_identity,
     all_normal_subgroups,
     automorphism_group,
-    conjugacy_classes,
     generating_sequence,
     relabel_table,
     subgroup_closure,
@@ -261,8 +260,9 @@ def oracle_normal_closure(G: FiniteGroup, seed) -> frozenset[int]:
 
 
 def oracle_all_normal_subgroups(G: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """Normal closures of all 2^k subsets of conjugacy-class representatives."""
-    reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] != 0]
+    """Normal closures of all 2^k subsets of conjugacy-class representatives,
+    each class found as every g·a·g⁻¹ and represented by its least member."""
+    reps = sorted({min(G.conjugate(g, a) for g in G.elements()) for a in G.elements()} - {0})
     found: set[frozenset[int]] = set()
     for r in range(len(reps) + 1):
         for subset in itertools.combinations(reps, r):
@@ -669,6 +669,17 @@ def oracle_dihedral(n: int) -> FiniteGroup:
         return 2 * i + (j1 ^ j2)
 
     return verify_group_axioms([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+
+
+def oracle_alternating4() -> FiniteGroup:
+    """A4 on the even permutations of 0..3, found by counting inversions,
+    indexed in lexicographic order, with p·q = p ∘ q."""
+    def is_even(p):
+        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+
+    perms = [p for p in itertools.permutations(range(4)) if is_even(p)]
+    index = {p: i for i, p in enumerate(perms)}
+    return verify_group_axioms([[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms])
 
 
 def flip_solution(n: int) -> SetSolution:

@@ -101,6 +101,16 @@ def test_ideals_with_dot(ring_path, tmp_path, capsys):
     assert '"{0,2}" -> "{0,1,2,3}"' in text
 
 
+def test_ideals_flags_the_prime_maximal_ideal_of_an_additive_a4_brace(tmp_path, capsys):
+    """Of the catalogs of order 1..12, only entries 20 and 25 of order 12,
+    both on A4, have a prime maximal ideal: {0}."""
+    path = tmp_path / "a4.json"
+    path.write_text(dumps(brace_payload(enumerate_braces(12).braces[20])))
+    assert main(["ideals", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 ideals", "  [0]  [maximal, prime, small]", f"  {list(range(12))}"]
+
+
 def test_radical_command(ring_path, capsys):
     assert main(["radical", ring_path]) == 0
     out = capsys.readouterr().out
@@ -351,6 +361,45 @@ def test_undecodable_and_over_deep_files_exit_2(command, content, tmp_path, caps
     path.write_bytes(content)
     assert main([*command, str(path)]) == cli.EXIT_INVALID_INPUT == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+# Files the loaders refuse before any table is verified: (kind, content,
+# message), where the content None is no file and "directory" a directory.
+MALFORMED_FILES = {
+    "missing-file": ("brace", None, "cannot read"),
+    "directory": ("brace", "directory", "cannot read"),
+    "top-level-array": ("brace", [{"order": 1, "add": [[0]], "circle": [[0]]}], "top-level value must be an object"),
+    "add-not-a-list": ("brace", {"order": 1, "add": 0, "circle": [[0]]}, "'add' must be a list of 1 rows"),
+    "row-not-a-list": ("brace", {"order": 2, "add": [[0, 1], 1], "circle": [[0, 1], [1, 0]]},
+                       "'add' row 1 must be a list of 2 entries"),
+    "sigma-row-a-string": ("solution", {"size": 2, "sigma": ["01", [0, 1]], "tau": [[0, 1], [0, 1]]},
+                           "'sigma' row 0 must be a list of 2 entries"),
+}
+
+
+def malformed_file(tmp_path, content):
+    path = tmp_path / "malformed.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind,content,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_loaders_reject_malformed_files(kind, content, message, tmp_path):
+    loader = {"brace": load_brace, "solution": load_solution}[kind]
+    with pytest.raises(InputFormatError, match=message):
+        loader(malformed_file(tmp_path, content))
+
+
+@pytest.mark.parametrize("kind,content,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_files_exit_2(kind, content, message, tmp_path, capsys):
+    command = {"brace": ["verify"], "solution": ["ybe", "check"]}[kind]
+    assert main([*command, malformed_file(tmp_path, content)]) == cli.EXIT_INVALID_INPUT == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input:") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)

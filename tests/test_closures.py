@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bracekit.catalog import _build_catalog
 from bracekit.groups import all_normal_subgroups, normal_closure, subgroup_closure
+from bracekit.grouptables import cyclic, dicyclic, dihedral, direct_product_group
 from bracekit.ideals import (
     all_ideals,
     ideal_closure,
@@ -103,6 +104,20 @@ def test_random_ideal_closure_matches_oracle(data):
 def test_all_normal_subgroups_match_oracle(orders):
     for G in catalog_groups(orders):
         assert all_normal_subgroups(G) == oracle_all_normal_subgroups(G)
+
+
+ORDER_16_NONABELIAN = {
+    "D8": lambda: dihedral(8),
+    "Q16": lambda: dicyclic(4),
+    "D4xC2": lambda: direct_product_group(dihedral(4), cyclic(2)),
+    "Q8xC2": lambda: direct_product_group(dicyclic(2), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("build", ORDER_16_NONABELIAN.values(), ids=ORDER_16_NONABELIAN)
+def test_all_normal_subgroups_of_order_16_match_oracle(build):
+    G = build()
+    assert all_normal_subgroups(G) == oracle_all_normal_subgroups(G)
 
 
 @pytest.mark.parametrize("orders", [tuple(SMALL_ORDERS), (12,)], ids=["le8", "12"])

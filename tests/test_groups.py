@@ -26,6 +26,7 @@ from bracekit.groups import (
     is_abelian,
     normal_closure,
     orbit,
+    orbits,
     preserves,
     quotient_group,
     relabel_table,
@@ -50,6 +51,7 @@ from conftest import (
     brute_normal_subgroups,
     brute_subgroups,
     klein_group,
+    oracle_alternating4,
     oracle_dihedral,
     oracle_extend_hom,
     oracle_generating_sequence,
@@ -227,6 +229,13 @@ def test_dihedral_is_the_presentation_table(n):
     D = dihedral(n)
     assert D == oracle_dihedral(n)
     assert verify_group_axioms(D.table) == D
+
+
+def test_alternating4_is_the_parity_table():
+    """The orbit of the identity under two 3-cycles gives, element for
+    element, the table built from the even permutations: the canonical
+    forms of the order-12 catalog depend on these labels."""
+    assert alternating4().table == oracle_alternating4().table
 
 
 def cyclic_action(n: int, k: int, e: int) -> list[tuple[int, ...]]:
@@ -473,3 +482,10 @@ def test_orbit_stops_at_the_first_value_over_its_bound(bound):
     assert orbit(0, (1, 2, 3), step, bound) is None
     assert len(set(stored) | {0}) <= bound + 1
     assert len(orbit(0, (1, 2, 3), step, 40)) == 40
+
+
+def test_orbits_are_distinct_and_in_order_of_their_first_point():
+    """Adding 2 mod 6 splits 0..5 into evens and odds; each orbit starts at
+    the first of ``points`` that no earlier orbit holds."""
+    assert orbits([5, 0, 1, 2, 3, 4], (2,), lambda x, g: (x + g) % 6, 6) == [[5, 1, 3], [0, 2, 4]]
+    assert orbits((), (1,), lambda x, g: x, 1) == []

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bracekit import invariants
 from bracekit.braces import brace_isomorphic, trivial_brace, zero_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
@@ -195,6 +196,45 @@ def test_individual_check_statuses(ring_brace, s3_brace):
     assert check_prop_desc(trivial_brace(dihedral(5)), bound=8).status == "na"  # order 10 > bound
     assert check_prop_a2(ring_brace).status == "pass"
     assert schur_embedding(ring_brace).status == "pass"
+
+
+# Each fail return of a theorem check, reached by replacing the one name of
+# ``invariants`` it reads on a catalog brace: (check, name, replacement,
+# (order, catalog index), details).  Entry (4, 0) is the brace of the
+# radical ring 2Z/8Z, (4, 2) and (2, 0) the trivial braces on C2×C2 and C2.
+THEOREM_FAILURES = {
+    "gaschutz-maximal": (check_gaschutz, "maximal_ideals", lambda A: (frozenset({0}),), (4, 0),
+                         (("maximal_ideal", (0,)),)),
+    "gaschutz-intersection": (check_gaschutz, "radical_set", lambda A: frozenset({0}), (4, 0),
+                              (("part", "intersection"),)),
+    "prop-np": (check_prop_np, "_is_prime_maximal", lambda A, M: True, (2, 0),
+                (("maximal_ideal", (0,)),)),
+    "square-free-target": (check_square_free, "trivial_brace", lambda G: zero_brace(), (4, 2),
+                           (("omega", 2), ("abelianized_target", 1), ("square_free_order", False))),
+    "square-free-order": (check_square_free, "_squarefree", lambda n: True, (4, 2),
+                          (("omega", 2), ("abelianized_target", 2), ("square_free_order", True))),
+    "prop-inc-radical": (check_prop_inc, "radical_set", lambda A: frozenset({A.order - 1}), (4, 0),
+                         (("ideal", (0,)), ("part", "radical"))),
+    "prop-inc-radical-prime": (check_prop_inc, "radical_prime_set", lambda A: frozenset({A.order - 1}),
+                               (4, 0), (("ideal", (0,)), ("part", "radical-prime"))),
+    "prop-a2": (check_prop_a2, "maximal_ideals", lambda A: (frozenset({0}),), (4, 0),
+                (("maximal_ideal", (0,)),)),
+    "schur-well-defined": (schur_embedding, "annihilator", lambda A: frozenset(A.elements()), (4, 0),
+                           (("part", "well-defined"), ("coset", 0))),
+    "schur-injective": (schur_embedding, "annihilator", lambda A: frozenset({0}), (2, 0),
+                        (("part", "injective"),)),
+}
+
+
+@pytest.mark.parametrize("check, name, replacement, entry, details", THEOREM_FAILURES.values(),
+                         ids=THEOREM_FAILURES)
+def test_theorem_checks_report_fail_with_their_details(check, name, replacement, entry, details,
+                                                       monkeypatch):
+    n, index = entry
+    A = enumerate_braces(n).braces[index]
+    assert check(A).status == "pass"
+    monkeypatch.setattr(invariants, name, replacement)
+    assert check(A)[1:] == ("fail", details)
 
 
 def test_omega_products_direct():

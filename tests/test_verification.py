@@ -288,6 +288,17 @@ def test_float_entry_is_rejected_after_the_int_table_was_verified():
         assert exc.value.witness == (1, 2)
 
 
+@pytest.mark.parametrize("call,error,witness", [
+    (lambda: verify_group_axioms([]), GroupAxiomError, ()),
+    (lambda: verify_group_axioms([[0, 1], [1]]), GroupAxiomError, (1,)),
+    (lambda: verify_brace([[0, 1], [1, 0]], [[0]]), BraceAxiomError, ()),
+], ids=["empty-table", "ragged-row", "tables-of-two-sizes"])
+def test_misshapen_tables_raise_the_shape_error(call, error, witness):
+    with pytest.raises(error) as exc:
+        call()
+    assert (type(exc.value), exc.value.axiom, exc.value.witness) == (error, "shape", witness)
+
+
 def test_bool_entries_are_not_indices():
     """An entry is an index exactly when ``type(v) is int``, as in the file
     loaders.  A bool in a group table, or in either table of a pair, raises
