@@ -213,18 +213,19 @@ def _store_cached(catalog: BraceCatalog) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         braces = iter(catalog.braces)
-        payload = {
-            "version": __version__,
-            "order": catalog.order,
-            "method": METHOD,
-            "circles": [[A.circle.table for A in islice(braces, count)] for _, count in catalog.counts],
-        }
+        circles = ([A.circle.table for A in islice(braces, count)] for _, count in catalog.counts)
+        rest = {"version": __version__, "order": catalog.order, "method": METHOD}
+        # The text of json.dumps({"circles": [...], **rest}, sort_keys=True),
+        # where "circles" sorts first, encoded one group at a time, so the
+        # encoder's pieces never span the whole catalog.
+        text = '{"circles": [' + ", ".join(map(json.dumps, circles)) + "], " + \
+            json.dumps(rest, sort_keys=True)[1:]
         # Write a temp file beside the target and rename it into place, so a
         # failed write never leaves a truncated catalog for _load_cached.
         # The pid keeps concurrent writers apart.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
+            tmp.write_text(text)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

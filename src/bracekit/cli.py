@@ -15,12 +15,12 @@ change the exit code.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .braces import BraceAxiomError, check_star_identities
@@ -306,6 +306,8 @@ def _cmd_ybe_group(args) -> int:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse  # for the error alone; see _plain_args
+
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -350,7 +352,7 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, handler, arguments) -> None:
+def _add_command(parser, handler, arguments) -> None:
     """Give ``parser`` the arguments and handler of one ``_COMMANDS`` entry."""
     if handler is None:
         sub = parser.add_subparsers(dest="ybe_command", required=True)
@@ -363,17 +365,12 @@ def _add_command(parser: argparse.ArgumentParser, handler, arguments) -> None:
 
 
 @lru_cache(maxsize=None)
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of all commands, or with a ``command`` the parser of that
-    command alone: the same arguments, help and usage errors, except that
-    argparse reports unrecognized arguments with the usage line of the
-    parser it was given.  Each is built once per process: ``parse_args``
-    returns a fresh namespace on every call, so repeated ``main`` calls in
-    one process share no state."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"bracekit {command}")
-        _add_command(parser, *_COMMANDS[command][1:])
-        return parser
+def build_parser():
+    """The argparse parser of all commands, built once per process:
+    ``parse_args`` returns a fresh namespace on every call, so repeated
+    ``main`` calls in one process share no state."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bracekit",
         description="Finite skew left braces, their invariants, and YBE solutions.")
@@ -383,15 +380,69 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The values ``build_parser().parse_args(argv)`` gives a plain command
+    line, less ``command``, which no handler reads; None for any other line.
+
+    A line is plain when its command, and for ``ybe`` the sub-command that
+    follows, is in ``_COMMANDS``; every token starting with ``-`` is a
+    declared option string, given at most once; a ``store_true`` option takes
+    no value and any other option the next token, which does not start with
+    ``-``; the other tokens match the declared positionals in number; and
+    each value converts by its ``type`` into its ``choices``.  argparse gives
+    such a line the same values: an exact option string matches before any
+    abbreviation; each option takes zero or one token and each positional
+    one; and no other token starts with ``-``, so its rules for negative
+    numbers, ``--`` and ``=`` never apply.  Every other line, help requests
+    and usage errors included, goes to argparse, so a command process that
+    runs a plain line never imports argparse, ``gettext`` or ``locale``.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    values, (_, handler, arguments), tokens = {}, entry, argv[1:]
+    if handler is None:
+        subs = {name: rest for name, *rest in arguments}
+        if not tokens or tokens[0] not in subs:
+            return None
+        values["ybe_command"], tokens = tokens[0], tokens[1:]
+        handler, arguments = subs[values["ybe_command"]]
+    declared = {flags[0]: options for flags, options in arguments}
+    given, words, tokens = {}, [], iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+        elif token not in declared or token in given:
+            return None
+        elif declared[token].get("action") == "store_true":
+            given[token] = None
+        else:
+            given[token] = next(tokens, "-")
+            if given[token].startswith("-"):
+                return None
+    positionals = [flag for flag in declared if not flag.startswith("-")]
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    for flag, options in declared.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        if options.get("action") == "store_true":
+            values[dest] = flag in given
+        elif flag not in given:
+            values[dest] = options.get("default")
+        else:
+            try:
+                values[dest] = options.get("type", str)(given[flag])
+            except Exception:  # argparse reports this value's error, or raises it
+                return None
+            if values[dest] not in options.get("choices", [values[dest]]):
+                return None
+    return SimpleNamespace(**values, func=handler)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = rest = None
-    if argv and argv[0] in _COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or rest:
-        # No known command, or unrecognized arguments: the parser of all
-        # commands prints the usage error, with its own usage line.
-        args = build_parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputFormatError, GroupAxiomError, BraceAxiomError) as exc:

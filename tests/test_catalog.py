@@ -245,6 +245,20 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
         assert bracekit.catalog._load_cached(n) == fresh
 
 
+def test_cache_file_is_the_sorted_dump_of_the_whole_payload(tmp_path, monkeypatch):
+    """The file written one group at a time holds, byte for byte, the
+    ``json.dumps(payload, sort_keys=True)`` of the whole payload, with the
+    circle tables of each built-in group in catalog order."""
+    monkeypatch.setenv("BRACEKIT_CACHE", str(tmp_path / "cachedir"))
+    for n in range(1, MAX_ORDER + 1):
+        catalog = enumerate_braces(n)
+        entries = list(zip(catalog.additive_names, catalog.braces))
+        circles = [[A.circle.table for name, A in entries if name == group] for group, _ in groups_of_order(n)]
+        payload = {"version": bracekit.__version__, "order": n, "method": "holomorph", "circles": circles}
+        path = tmp_path / "cachedir" / f"braces_{n}_holomorph.json"
+        assert path.read_text() == json.dumps(payload, sort_keys=True)
+
+
 def test_a_new_cache_directory_is_read_and_written_in_the_same_process(tmp_path, monkeypatch):
     """A second call under another BRACEKIT_CACHE stores its catalog there
     instead of returning the first call's catalog from memory."""

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from bracekit.braces import trivial_brace
 from bracekit import cli
 from bracekit.catalog import catalog_invariant_sweep, enumerate_braces
-from bracekit.cli import build_parser, main
+from bracekit.cli import _plain_args, build_parser, main
 from bracekit import invariants
 from bracekit.formats import (
     MAX_INPUT_ORDER,
@@ -542,10 +543,16 @@ def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
     ("sweep 6 --jobs 0", 2, "", "bracekit sweep: error: argument --jobs: must be at least 1, got 0"),
     ("frob", 2, "", "bracekit: error: argument command: invalid choice: 'frob'"),
     ("ybe", 2, "", "bracekit ybe: error: the following arguments are required: ybe_command"),
+    ("enumerate -h", 0, "usage: bracekit enumerate [-h] [--method {holomorph}]", ""),
+    ("sweep 6 --jobs=0", 2, "", "bracekit sweep: error: argument --jobs: must be at least 1, got 0"),
+    ("enumerate 3 --out", 2, "", "bracekit enumerate: error: argument --out: expected one argument"),
+    ("enumerate 3 --method frob", 2, "", "bracekit enumerate: error: argument --method: invalid choice: 'frob'"),
+    ("ybe check", 2, "", "bracekit ybe check: error: the following arguments are required: solution"),
 ])
 def test_help_and_usage_errors_are_those_of_the_full_parser(argv, code, out_start, err_end, capsys):
     """``main`` prints, byte for byte, what the parser of every command prints
     for a help request or a usage error, and exits as it does."""
+    assert _plain_args(argv.split()) is None
     outcome = _outcome(argv.split(), capsys)
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv.split())
@@ -553,6 +560,55 @@ def test_help_and_usage_errors_are_those_of_the_full_parser(argv, code, out_star
     assert outcome[0] == code
     assert outcome[1].startswith(out_start) and (outcome[1] == "") == (out_start == "")
     assert outcome[2].rstrip("\n").split("\n")[-1].startswith(err_end)
+
+
+@pytest.mark.parametrize("spelling, plain", [
+    ("theoremcheck corpus:4 --json --desc-bound=8", "theoremcheck corpus:4 --json --desc-bound 8"),
+    ("theoremcheck corpus:4 --json --desc 8", "theoremcheck corpus:4 --json --desc-bound 8"),
+    ("sweep 4 --jobs 1 --jobs 2", "sweep 4 --jobs 2"),
+    ("enumerate -- 3", "enumerate 3"),
+])
+def test_valid_spellings_that_are_not_plain_run_as_the_plain_one(spelling, plain, capsys):
+    """argparse parses the spellings ``_plain_args`` declines, an ``=`` value,
+    an abbreviated option, a repeated option and ``--``, and the command runs
+    as it does for the plain line."""
+    assert _plain_args(spelling.split()) is None and _plain_args(plain.split()) is not None
+    assert _outcome(spelling.split(), capsys) == _outcome(plain.split(), capsys)
+
+
+# Pieces of a command line: every option string of every command alone and
+# with a valid or an invalid value, and alone the tokens argparse treats
+# specially: help, ``--``, ``-``, a negative number, an ``=`` value, an
+# abbreviation, an empty string and a leading space.
+_VALUES = ["3", "8", "0", "x", "F", "corpus:4", "holomorph", "frob", "", " 8", "-1"]
+_PIECES = [[token] for token in _VALUES + ["--json", "--witness", "-", "--", "--out=F", "--desc", "-h"]]
+_PIECES += [[option, *value] for option in ["--desc-bound", "--dot", "--method", "--out", "--jobs"]
+            for value in [[]] + [[v] for v in _VALUES]]
+_COMMAND_LINES = ["verify", "report", "ideals", "radical", "weight", "decompose", "theoremcheck",
+                  "enumerate", "sweep", "ybe check", "ybe from-brace", "ybe derived", "ybe group"]
+
+
+@pytest.mark.parametrize("command", _COMMAND_LINES)
+def test_plain_args_agree_with_the_full_parser(command, capsys):
+    """Over 4,000 lines of up to four ``_PIECES`` drawn with a fixed seed,
+    repeats included, every line ``_plain_args`` accepts is one that
+    ``build_parser().parse_args`` accepts, with the same values, less
+    ``command``."""
+    rng = random.Random(command)
+    accepted = 0
+    for _ in range(4000):
+        argv = command.split() + sum(rng.choices(_PIECES, k=rng.randint(0, 4)), [])
+        args = _plain_args(argv)
+        if args is None:
+            continue
+        accepted += 1
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"_plain_args accepts {argv}, which argparse rejects: {capsys.readouterr().err}")
+        del expected["command"]
+        assert vars(args) == expected, argv
+    assert accepted >= 20
 
 
 def test_ybe_group_on_a_huge_permutation_group_exits_3_fast(tmp_path, capsys):

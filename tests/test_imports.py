@@ -138,6 +138,22 @@ def test_enumerate_loads_no_ideals_invariants_or_ybe(tmp_path):
     assert _modules_loaded_by(code, names, env) == []
 
 
+def test_plain_command_lines_load_no_argparse(tmp_path):
+    """``import bracekit.cli`` and plain command lines of four commands load
+    none of ``argparse``, ``gettext`` or ``locale``: ``main`` parses them
+    itself and builds the argparse parser only for help and usage errors."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "BRACEKIT_CACHE": str(tmp_path / "cache")}
+    solution = tmp_path / "flip.json"
+    solution.write_text('{"size": 2, "sigma": [[0, 1], [0, 1]], "tau": [[0, 1], [0, 1]]}')
+    names = {"argparse", "gettext", "locale"}
+    assert _modules_loaded_by("import bracekit.cli", names, env) == []
+    for argv in (["enumerate", "3"], ["sweep", "4", "--jobs", "1", "--out", str(tmp_path / "s.json")],
+                 ["theoremcheck", "corpus:4", "--json"], ["ybe", "check", str(solution), "--witness"]):
+        code = f"from bracekit.cli import main; assert main({argv!r}) == 0"
+        assert _modules_loaded_by(code, names, env) == [], argv
+
+
 def test_sweep_loads_invariants_before_it_forks(tmp_path):
     """``sweep 8 --jobs 2`` imports ``invariants`` before its worker is forked,
     so the worker inherits the module rather than importing it again."""
