@@ -25,7 +25,7 @@ from .braces import (
 )
 from .groups import (
     _IDENTITY_TABLE,
-    NON_GENERATOR_BOUND,
+    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     GroupAxiomError,
     automorphism_group,
@@ -321,7 +321,7 @@ def _forked_rows(row, tasks: list, workers: int) -> list[dict]:
 
 
 def catalog_invariant_sweep(catalog: BraceCatalog, jobs: int = 1,
-                            desc_bound: int = NON_GENERATOR_BOUND) -> dict:
+                            desc_bound: int = DEFAULT_ORDER_BOUND) -> dict:
     """Run the invariant report and all theorem checks on every catalog entry.
 
     At most one worker runs per entry and per CPU, and only where

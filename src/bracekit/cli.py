@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ from .braces import BraceAxiomError, check_star_identities
 from .catalog import METHOD, BraceCatalog, catalog_invariant_sweep, enumerate_braces
 from .formats import (InputFormatError, brace_payload, dump, dumps, load_brace, load_solution,
                       solution_payload)
-from .groups import NON_GENERATOR_BOUND, BoundExceededError, GroupAxiomError, group_signature
+from .groups import DEFAULT_ORDER_BOUND, BoundExceededError, GroupAxiomError, group_signature
 from .grouptables import MAX_ORDER
 
 # Each handler imports what only its command uses (``ideals``, ``invariants``
@@ -139,11 +138,11 @@ def _cmd_radical(args) -> int:
     from .invariants import radical
 
     A = load_brace(args.brace)
-    report = radical(A, desc_bound=args.desc_bound)
+    report = radical(A)
     print(f"radical: {sorted(report.radical)}")
     print(f"radical': {sorted(report.radical_prime)}")
     print(f"maximal ideals: {report.maximal_ideal_count}")
-    if report.non_generators is not None:
+    if A.order <= args.desc_bound:
         print(f"non-generators: {sorted(report.non_generators)}")
     print(f"sum of small ideals: {sorted(report.small_ideal_sum)}")
     return EXIT_OK
@@ -318,14 +317,14 @@ def _arg(*flags, **options):
 
 _BRACE, _SOLUTION, _OUT = _arg("brace"), _arg("solution"), _arg("--out")
 _JSON = _arg("--json", action="store_true")
-_DESC_BOUND = _arg("--desc-bound", type=int, default=NON_GENERATOR_BOUND)
+_DESC_BOUND = _arg("--desc-bound", type=int, default=DEFAULT_ORDER_BOUND)
 # name: (help, handler, arguments as ``add_argument`` takes them); ``ybe``
 # has no handler, and its arguments are its sub-commands, each as
 # (name, handler, arguments).
 _COMMANDS = {
     "verify": ("validate a brace JSON file", _cmd_verify, [_BRACE]),
     "report": ("full invariant report for a brace", _cmd_report, [
-        _BRACE, _JSON, _arg("--desc-bound", type=int, default=NON_GENERATOR_BOUND,
+        _BRACE, _JSON, _arg("--desc-bound", type=int, default=DEFAULT_ORDER_BOUND,
                             help="accepted for compatibility; does not change the report")]),
     "ideals": ("print the ideal lattice", _cmd_ideals, [
         _BRACE, _arg("--dot", help="write a Hasse-diagram DOT file")]),
@@ -364,11 +363,8 @@ def _add_command(parser, handler, arguments) -> None:
     parser.set_defaults(func=handler)
 
 
-@lru_cache(maxsize=None)
 def build_parser():
-    """The argparse parser of all commands, built once per process:
-    ``parse_args`` returns a fresh namespace on every call, so repeated
-    ``main`` calls in one process share no state."""
+    """The argparse parser of all commands."""
     import argparse
 
     parser = argparse.ArgumentParser(

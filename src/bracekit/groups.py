@@ -11,9 +11,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_BOUND = 16
-# The largest order whose non-generators ``invariants.radical`` computes by
-# default (the CLI's ``--desc-bound``): every order with a subgroup lattice.
-NON_GENERATOR_BOUND = DEFAULT_ORDER_BOUND
 
 
 class GroupAxiomError(ValueError):

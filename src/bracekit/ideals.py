@@ -108,11 +108,6 @@ def star_product(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[
     return subgroup_closure(A.add, {A.star(i, j) for i in I for j in J})
 
 
-def ideal_sum(A: SkewBrace, I: Iterable[int], J: Iterable[int]) -> frozenset[int]:
-    """I+J as the additive subgroup closure of the union (exact for ideals)."""
-    return subgroup_closure(A.add, set(I) | set(J))
-
-
 def quotient_brace(A: SkewBrace, I: frozenset[int]) -> tuple[SkewBrace, tuple[int, ...]]:
     """Brace on the cosets of an ideal, checked here; see ``_brace_cosets``.
 

@@ -25,13 +25,14 @@ from bracekit.groups import (
     _raw_identity,
     all_normal_subgroups,
     automorphism_group,
+    commutator_subgroup,
     generating_sequence,
     relabel_table,
     subgroup_closure,
     verify_group_axioms,
 )
 from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
-from bracekit.ideals import a2, annihilator
+from bracekit.ideals import a2, annihilator, maximal_ideals, socle
 from bracekit.invariants import is_perfect, radical_set, weight
 from bracekit.ybe import SetSolution, SolutionReport, is_nondegenerate
 
@@ -476,6 +477,20 @@ def oracle_schur_embedding(A: SkewBrace) -> str:
     if any(len({image(a) for a in coset}) != 1 for coset in cosets):
         return "fail"
     return "pass" if len({image(min(coset)) for coset in cosets}) == len(cosets) else "fail"
+
+
+def oracle_check_gaschutz(A: SkewBrace, ideals=maximal_ideals) -> CheckReport:
+    """``check_gaschutz`` with the sum [A,A]_+ + A^(2) built as the additive
+    subgroup closure of the union of its terms, then tested against each M
+    of ``ideals(A)``, the maximal ideals unless a test gives another family."""
+    soc = socle(A)
+    comm_plus_a2 = subgroup_closure(A.add, commutator_subgroup(A.add) | a2(A))
+    for M in ideals(A):
+        if not (comm_plus_a2 <= M or soc <= M):
+            return CheckReport("gaschutz", "fail", (("maximal_ideal", tuple(sorted(M))),))
+    if not (a2(A) & soc) <= radical_set(A):
+        return CheckReport("gaschutz", "fail", (("part", "intersection"),))
+    return CheckReport("gaschutz", "pass")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,23 @@ def test_radical_command(ring_path, capsys):
     assert "non-generators: [0, 2]" in out
 
 
+@pytest.mark.parametrize("bound, lines", [
+    ([], ["non-generators: [0, 2, 4, 6]"]),
+    (["--desc-bound", "8"], ["non-generators: [0, 2, 4, 6]"]),
+    (["--desc-bound", "1"], []),
+])
+def test_radical_stdout_prints_the_non_generators_up_to_the_bound(bound, lines, tmp_path, capsys):
+    """The stdout of ``radical`` on an order-8 catalog brace: the
+    non-generators line is printed only when the order is at most
+    ``--desc-bound``."""
+    path = tmp_path / "b8.json"
+    path.write_text(dumps(brace_payload(enumerate_braces(8).braces[3])))
+    assert main(["radical", str(path), *bound]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "radical: [0, 2, 4, 6]", "radical': [0, 1, 2, 3, 4, 5, 6, 7]", "maximal ideals: 1",
+        *lines, "sum of small ideals: [0, 2, 4, 6]"]
+
+
 def test_weight_command(tmp_path, capsys):
     c2 = cyclic(2)
     G = direct_product_group(direct_product_group(c2, c2), c2)
@@ -501,10 +518,9 @@ def _outcome(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
-    """Calls in one process through the one parser give what each gives on a
-    freshly built parser: an option of one call never leaks into the next."""
-    assert build_parser() is build_parser()
+def test_repeated_main_calls_carry_no_state(ring_path, tmp_path, capsys):
+    """Calls in one process give what each gives when run again: an option
+    of one call never leaks into the next."""
     broken = tmp_path / "broken.json"
     S = make_solution([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(0, 1, 2)] * 3)
     broken.write_text(dumps(solution_payload(S)))
@@ -519,16 +535,13 @@ def test_parser_is_built_once_and_carries_no_state(ring_path, tmp_path, capsys):
         ["ybe", "check", str(broken)],
     ]
 
-    reused = [_outcome(argv, capsys) for argv in calls]
-    reused_sweep = sweep_out.read_bytes()
-    fresh = []
-    for argv in calls:
-        build_parser.cache_clear()
-        fresh.append(_outcome(argv, capsys))
-    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 2, 1]
-    assert reused == fresh
-    assert sweep_out.read_bytes() == reused_sweep
-    assert "braid_witness" in reused[4][1] and "braid_witness" not in reused[6][1]
+    first = [_outcome(argv, capsys) for argv in calls]
+    first_sweep = sweep_out.read_bytes()
+    again = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 1, 2, 1]
+    assert first == again
+    assert sweep_out.read_bytes() == first_sweep
+    assert "braid_witness" in first[4][1] and "braid_witness" not in first[6][1]
 
 
 @pytest.mark.parametrize("argv, code, out_start, err_end", [
@@ -595,6 +608,7 @@ def test_plain_args_agree_with_the_full_parser(command, capsys):
     ``build_parser().parse_args`` accepts, with the same values, less
     ``command``."""
     rng = random.Random(command)
+    parser = build_parser()
     accepted = 0
     for _ in range(4000):
         argv = command.split() + sum(rng.choices(_PIECES, k=rng.randint(0, 4)), [])
@@ -603,7 +617,7 @@ def test_plain_args_agree_with_the_full_parser(command, capsys):
             continue
         accepted += 1
         try:
-            expected = vars(build_parser().parse_args(argv))
+            expected = vars(parser.parse_args(argv))
         except SystemExit:
             pytest.fail(f"_plain_args accepts {argv}, which argparse rejects: {capsys.readouterr().err}")
         del expected["command"]

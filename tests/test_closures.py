@@ -16,7 +16,6 @@ from bracekit.grouptables import cyclic, dicyclic, dihedral, direct_product_grou
 from bracekit.ideals import (
     all_ideals,
     ideal_closure,
-    ideal_sum,
     is_ideal,
     quotient_brace,
     small_ideals,
@@ -157,4 +156,4 @@ def test_random_ideal_closure_is_least_ideal_and_sum_of_singletons(data):
     containing = [J for J in oracle_ideals(A) if seed <= J]
     assert I == reduce(frozenset.intersection, containing)
     singles = [ideal_closure(A, [a]) for a in seed]
-    assert I == reduce(lambda J, K: ideal_sum(A, J, K), singles, frozenset({0}))
+    assert I == reduce(lambda J, K: subgroup_closure(A.add, J | K), singles, frozenset({0}))

@@ -6,7 +6,7 @@ from bracekit import invariants
 from bracekit.braces import brace_isomorphic, trivial_brace, zero_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
-from bracekit.ideals import ideal_closure, quotient_brace
+from bracekit.ideals import all_ideals, ideal_closure, quotient_brace
 from bracekit.invariants import (
     _subset_search,
     brace_report,
@@ -38,6 +38,7 @@ from conftest import (
     check_omega_products,
     frattini_comparison,
     klein_group,
+    oracle_check_gaschutz,
     oracle_ideal_closure,
     oracle_schur_embedding,
     order_16_classes,
@@ -133,7 +134,6 @@ def test_weight_opt_agrees_with_direct_search():
 
 def test_generation_descends_to_quotients(ring_brace, s3_brace):
     # if S generates A as an ideal, its image generates A/I
-    from bracekit.ideals import all_ideals
     for A in (ring_brace, s3_brace):
         cert = weight(A)
         for I in all_ideals(A):
@@ -283,3 +283,27 @@ def test_schur_embedding_matches_the_all_elements_oracle():
     braces = [A for n in range(1, MAX_ORDER + 1) for A in _build_catalog(n).braces]
     braces += [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
     assert [schur_embedding(A).status for A in braces] == list(map(oracle_schur_embedding, braces))
+
+
+def _catalog_braces_to_12():
+    return [A for n in range(1, MAX_ORDER + 1) for A in _build_catalog(n).braces]
+
+
+def test_gaschutz_matches_the_ideal_sum_oracle(monkeypatch):
+    """The check tests the two terms of [A,A]_+ + A^(2) where the oracle
+    tests their sum.  The reports agree on the maximal ideals, and with every
+    ideal standing in for them, which reaches the fail return with each M
+    that does not contain both terms or the socle."""
+    braces = _catalog_braces_to_12()
+    braces += [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
+    # also memoizes ``radical_set`` of each brace before the stand-in
+    assert list(map(check_gaschutz, braces)) == list(map(oracle_check_gaschutz, braces))
+    monkeypatch.setattr(invariants, "maximal_ideals", all_ideals)
+    reports = list(map(check_gaschutz, braces))
+    assert reports == [oracle_check_gaschutz(A, all_ideals) for A in braces]
+    assert {r.status for r in reports} == {"pass", "fail"}
+
+
+def test_radical_report_carries_the_non_generators_at_every_order():
+    for A in _catalog_braces_to_12():
+        assert radical(A).non_generators == non_generators(A)
