@@ -15,6 +15,7 @@ from .groups import (
     DEFAULT_ORDER_BOUND,
     BoundExceededError,
     FiniteGroup,
+    _AxiomError,
     _Value,
     _raw_identity,
     _semidirect_group,
@@ -29,13 +30,8 @@ from .groups import (
 DEFAULT_PRODUCT_BOUND = 256
 
 
-class BraceAxiomError(ValueError):
+class BraceAxiomError(_AxiomError):
     """A pair of tables failed to form a skew left brace."""
-
-    def __init__(self, axiom: str, witness: tuple, message: str):
-        super().__init__(message)
-        self.axiom = axiom
-        self.witness = witness
 
 
 class CheckReport(NamedTuple):
@@ -214,20 +210,18 @@ def _star_failure(A: SkewBrace, zs: Sequence[int]) -> Optional[tuple[str, tuple[
     return None
 
 
-@lru_cache(maxsize=None)
 def _element_profile(A: SkewBrace) -> tuple[tuple[int, int], ...]:
     """Per-element (additive order, multiplicative order) pairs."""
-    add_orders = element_orders(A.add)
-    circ_orders = element_orders(A.circle)
-    return tuple(zip(add_orders, circ_orders))
+    return tuple(zip(element_orders(A.add), element_orders(A.circle)))
 
 
-def _brace_maps(A: SkewBrace, B: SkewBrace) -> Iterator[tuple[int, ...]]:
+def _brace_maps(A: SkewBrace, B: SkewBrace, prof_a: Sequence[tuple[int, int]],
+                prof_b: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
     """Brace isomorphisms A -> B in search order: additive generators of A
     are mapped to elements of B with the same (additive, multiplicative)
-    order pair.  ``search_maps`` yields only additive isomorphisms, so each
-    is checked against the circle tables alone."""
-    prof_a, prof_b = _element_profile(A), _element_profile(B)
+    order pair in the element profiles ``prof_a`` and ``prof_b``.
+    ``search_maps`` yields only additive isomorphisms, so each is checked
+    against the circle tables alone."""
     maps = search_maps(A.add, B.add, lambda g, img: prof_b[img] == prof_a[g])
     return (perm for perm in maps if preserves(perm, A.circle.table, B.circle.table))
 
@@ -243,9 +237,10 @@ def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
         return None
     if is_abelian(A.add) != is_abelian(B.add) or is_abelian(A.circle) != is_abelian(B.circle):
         return None
-    if sorted(_element_profile(A)) != sorted(_element_profile(B)):
+    prof_a, prof_b = _element_profile(A), _element_profile(B)
+    if sorted(prof_a) != sorted(prof_b):
         return None
-    perm = next(_brace_maps(A, B), None)
+    perm = next(_brace_maps(A, B, prof_a, prof_b), None)
     return None if perm is None else BraceMorphism(perm, A.order, B.order)
 
 
@@ -259,7 +254,8 @@ def brace_automorphism_group(A: SkewBrace) -> tuple[BraceMorphism, ...]:
     """All bijections of A preserving both tables, sorted lexicographically."""
     if A.order > DEFAULT_ORDER_BOUND:
         raise BoundExceededError(f"order {A.order} exceeds the automorphism bound {DEFAULT_ORDER_BOUND}")
-    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(_brace_maps(A, A)))
+    profile = _element_profile(A)
+    return tuple(BraceMorphism(p, A.order, A.order) for p in sorted(_brace_maps(A, A, profile, profile)))
 
 
 def semidirect_product(A: SkewBrace, B: SkewBrace,

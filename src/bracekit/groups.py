@@ -13,17 +13,22 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 DEFAULT_ORDER_BOUND = 16
 
 
-class GroupAxiomError(ValueError):
-    """A candidate table failed a group axiom.
-
-    ``axiom`` is a short tag and ``witness`` a tuple of indices exhibiting
-    the failure.
-    """
+class _AxiomError(ValueError):
+    """A failed axiom: ``axiom`` is a short tag and ``witness`` a tuple of
+    indices exhibiting the failure.  It pickles with all three arguments,
+    as a forked sweep worker sends the exception of a row that raised."""
 
     def __init__(self, axiom: str, witness: tuple, message: str):
         super().__init__(message)
         self.axiom = axiom
         self.witness = witness
+
+    def __reduce__(self):
+        return type(self), (self.axiom, self.witness, str(self))
+
+
+class GroupAxiomError(_AxiomError):
+    """A candidate table failed a group axiom."""
 
 
 class BoundExceededError(RuntimeError):

@@ -78,7 +78,6 @@ def socle(A: SkewBrace) -> frozenset[int]:
     return kernel_of_lambda(A) & center(A.add)
 
 
-@lru_cache(maxsize=None)
 def annihilator(A: SkewBrace) -> frozenset[int]:
     """Ann(A) = Soc(A) ∩ Cen(A,∘)."""
     return socle(A) & center(A.circle)
@@ -188,15 +187,10 @@ def all_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
 
 @lru_cache(maxsize=None)
 def maximal_ideals(A: SkewBrace) -> tuple[frozenset[int], ...]:
-    """Proper ideals with no ideal strictly between them and A."""
-    lattice = all_ideals(A)
-    full = frozenset(A.elements())
-    proper = [I for I in lattice if I != full]
-    out = []
-    for M in proper:
-        if not any(M < J for J in proper if J != M):
-            out.append(M)
-    return tuple(out)
+    """Proper ideals with no ideal strictly between them and A: A is the
+    last member of ``all_ideals(A)``, which is sorted by size."""
+    proper = all_ideals(A)[:-1]
+    return tuple(M for M in proper if not any(M < J for J in proper))
 
 
 @lru_cache(maxsize=None)

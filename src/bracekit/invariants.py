@@ -130,7 +130,6 @@ def is_simple(A: SkewBrace) -> bool:
     return len(all_ideals(A)) == 2
 
 
-@lru_cache(maxsize=None)
 def is_perfect(A: SkewBrace) -> bool:
     return a2(A) == _full(A)
 

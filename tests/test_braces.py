@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bracekit.braces import (
     BraceAxiomError,
     SkewBrace,
+    _incompatible,
     brace_automorphism_group,
     brace_isomorphic,
     check_star_identities,
@@ -26,13 +27,14 @@ from bracekit.groups import (
     GroupAxiomError,
     _cosets,
     abelian_invariants,
+    generating_sequence,
     quotient_group,
     verify_group_axioms,
 )
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
 from bracekit.ideals import _brace_cosets, a2, all_ideals, quotient_brace, sub_brace
 
-from conftest import brute_brace_automorphisms, klein_group, radical_ring_brace
+from conftest import brute_brace_automorphisms, klein_group, oracle_verify_brace, radical_ring_brace
 
 
 def test_trivial_c2_brace():
@@ -55,6 +57,29 @@ def test_mutated_circle_table_is_rejected(ring_brace):
     with pytest.raises((BraceAxiomError, GroupAxiomError)) as exc:
         verify_brace(ring_brace.add.table, circ)
     assert exc.value.witness
+
+
+def test_compatibility_is_checked_at_every_additive_generator():
+    """(A,+) is the D3 of the order-6 catalog, with additive generators
+    (1, 2); the circle table is a relabeled C6 of the catalog, found by a
+    seeded search.  The pair is compatible at c = 1 but not at c = 2."""
+    add = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 4, 5, 0, 1],
+           [3, 2, 1, 0, 5, 4], [4, 5, 0, 1, 2, 3], [5, 4, 3, 2, 1, 0]]
+    circle = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 0, 1, 5, 4],
+              [3, 2, 4, 5, 1, 0], [4, 5, 3, 2, 0, 1], [5, 4, 1, 0, 2, 3]]
+    G, C = verify_group_axioms(add), verify_group_axioms(circle)
+    assert generating_sequence(G) == (1, 2) and _incompatible(G, C, (1,)) is None
+    for verify in (verify_brace, oracle_verify_brace):
+        with pytest.raises(BraceAxiomError) as exc:
+            verify(add, circle)
+        assert (exc.value.axiom, exc.value.witness) == ("compatibility", (2, 1, 2))
+
+
+@pytest.mark.parametrize("error", [GroupAxiomError, BraceAxiomError])
+def test_axiom_errors_survive_a_pickle_round_trip(error):
+    """A forked sweep worker sends the exception of a row that raised as a pickle."""
+    copy = pickle.loads(pickle.dumps(error("associativity", (1, 2, 3), "m")))
+    assert (type(copy), copy.axiom, copy.witness, str(copy)) == (error, "associativity", (1, 2, 3), "m")
 
 
 def test_identity_mismatch_is_reported():
@@ -186,6 +211,18 @@ def test_semidirect_rejects_non_automorphism():
     B = trivial_brace(cyclic(2))
     with pytest.raises(ValueError):
         semidirect_product(A, B, [(0, 1, 2), (1, 0, 2)])
+
+
+@pytest.mark.parametrize("theta, message", [
+    ([(0, 1, 2)], "theta must assign a map to each of the 2 elements of B"),
+    ([(0, 1, 2), (0, 0, 0)], "theta(1) is not a permutation of A"),
+], ids=["one-map-short", "not-a-permutation"])
+def test_semidirect_rejects_a_malformed_theta(theta, message):
+    """The zero map of C3 preserves both tables and is a homomorphism, so
+    only the permutation test refuses it."""
+    with pytest.raises(ValueError) as exc:
+        semidirect_product(trivial_brace(cyclic(3)), trivial_brace(cyclic(2)), theta)
+    assert str(exc.value) == message
 
 
 def test_semidirect_checks_the_order_bound_before_theta():

@@ -27,6 +27,7 @@ from bracekit.cli import main
 from bracekit.formats import dumps, load_brace
 from bracekit.groups import (
     BoundExceededError,
+    GroupAxiomError,
     automorphism_group,
     flat_permutation,
     relabel_table,
@@ -481,6 +482,24 @@ def test_sweep_worker_bound_error_exits_3_as_serially(monkeypatch, capsys):
     with _hang_guard():
         assert main(["sweep", "8", "--jobs", "2"]) == 3
     assert "bound exceeded: in a worker" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_sweep_worker_axiom_error_exits_2_as_serially(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def fail():
+        raise GroupAxiomError("associativity", (1, 2, 3),
+                              "in the parent" if os.getpid() == parent else "in a worker")
+
+    _on_last_order_8_entry(monkeypatch, fail)
+    assert main(["sweep", "8", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == ("invalid input: in the parent\n"
+                                       "  axiom: associativity, witness: (1, 2, 3)\n")
+    with _hang_guard():
+        assert main(["sweep", "8", "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == ("invalid input: in a worker\n"
+                                       "  axiom: associativity, witness: (1, 2, 3)\n")
     _assert_no_child_left()
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import bracekit.braces
 import bracekit.groups
-from bracekit.braces import brace_automorphism_group, brace_isomorphic, verify_brace
+from bracekit.braces import brace_automorphism_group, brace_isomorphic, trivial_brace, verify_brace
 from bracekit.catalog import _build_catalog, _circle_tables_holomorph
 from bracekit.groups import (
+    DEFAULT_ORDER_BOUND,
+    BoundExceededError,
     GroupAxiomError,
     _semidirect_group,
     all_normal_subgroups,
@@ -24,6 +26,7 @@ from bracekit.groups import (
     greedy_subgroup,
     group_signature,
     is_abelian,
+    is_subgroup,
     normal_closure,
     orbit,
     orbits,
@@ -204,6 +207,30 @@ def test_quotient_group(s3_group):
         for b in s3_group.elements():
             assert proj[s3_group.table[a][b]] == Q.table[proj[a]][proj[b]]
     assert frozenset(a for a in s3_group.elements() if proj[a] == 0) == a3
+
+
+@pytest.mark.parametrize("S", [set(), {1}, {0, 1}], ids=["empty", "no-identity", "not-closed"])
+def test_a_set_that_is_not_a_subgroup_is_refused(S):
+    """The empty set is closed under products and inverses, so only the
+    identity test refuses it."""
+    assert not is_subgroup(cyclic(4), frozenset(S))
+    with pytest.raises(ValueError, match="N is not a subgroup"):
+        quotient_group(cyclic(4), frozenset(S))
+
+
+@pytest.mark.parametrize("search, make", [(automorphism_group, lambda G: G),
+                                          (brace_automorphism_group, trivial_brace)],
+                         ids=["automorphism_group", "brace_automorphism_group"])
+def test_automorphism_searches_refuse_orders_above_the_bound(search, make):
+    X = make(cyclic(DEFAULT_ORDER_BOUND + 1))
+    with pytest.raises(BoundExceededError, match="exceeds the automorphism bound"):
+        search(X)
+
+
+@pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+def test_groups_of_order_refuses_orders_without_tables(n):
+    with pytest.raises(ValueError, match=f"no built-in group tables for order {n}"):
+        groups_of_order(n)
 
 
 def test_quotient_rejects_non_normal(s3_group):

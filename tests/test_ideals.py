@@ -162,6 +162,27 @@ def test_sub_brace_embedding(ring_brace):
             assert emb[S.circ(i, j)] == ring_brace.circ(emb[i], emb[j])
 
 
+@pytest.mark.parametrize("index, S, message", [
+    (1, {1, 2, 3}, "subset does not contain 0"),
+    (1, {0, 1}, "subset not closed under negation at 1"),
+    (1, {0, 1, 3}, "subset not closed at (1,1)"),  # 1 + 1 = 2
+    (3, {0, 2}, "subset not closed at (2,2)"),  # (A,∘) = C4, so 2∘2 is not 0 or 2
+], ids=["no-zero", "not-closed-under-negation", "not-closed-under-plus", "not-closed-under-circle"])
+def test_sub_brace_refuses_a_subset_that_is_not_closed(index, S, message):
+    """On the order-4 catalog braces with (A,+) = C4 (index 1) and C2×C2 (3)."""
+    A = enumerate_braces(4).braces[index]
+    with pytest.raises(ValueError) as exc:
+        sub_brace(A, frozenset(S))
+    assert str(exc.value) == message
+
+
+def test_left_ideal_test_refuses_a_set_that_is_not_an_additive_subgroup():
+    """Every λ of a trivial brace is the identity, so only the subgroup test
+    can refuse {0, 1} in C4."""
+    A = trivial_brace(cyclic(4))
+    assert is_left_ideal(A, frozenset({0, 1})) == (False, ("not-additive-subgroup", (0, 1)))
+
+
 def test_crt_isomorphism_when_ideals_are_coprime():
     # A = C2 x C3 trivial; I = C2 x {0}, J = {0} x C3; A/(I∩J) ≅ A/I x A/J
     A = trivial_brace(direct_product_group(cyclic(2), cyclic(3)))

@@ -292,7 +292,8 @@ def test_float_entry_is_rejected_after_the_int_table_was_verified():
     (lambda: verify_group_axioms([]), GroupAxiomError, ()),
     (lambda: verify_group_axioms([[0, 1], [1]]), GroupAxiomError, (1,)),
     (lambda: verify_brace([[0, 1], [1, 0]], [[0]]), BraceAxiomError, ()),
-], ids=["empty-table", "ragged-row", "tables-of-two-sizes"])
+    (lambda: verify_brace([[0], [1, 0]], [[0, 1], [1, 0]]), GroupAxiomError, (0,)),
+], ids=["empty-table", "ragged-row", "tables-of-two-sizes", "ragged-table-of-a-pair"])
 def test_misshapen_tables_raise_the_shape_error(call, error, witness):
     with pytest.raises(error) as exc:
         call()

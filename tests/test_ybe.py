@@ -54,6 +54,8 @@ def test_make_solution_validation():
         make_solution([(0, 2), (1, 0)], [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         make_solution([[0, True], [0, 1]], [[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="tau row 1 has length 1, expected 2"):
+        make_solution([(0, 1), (1, 0)], [(0, 1), (0,)])
 
 
 def test_flip_solution():
@@ -116,6 +118,17 @@ def test_braid_witness_on_broken_solution():
     rep = check_solution(S)
     assert not rep.is_ybe and rep.braid_witness is not None
     assert not oracle_check_solution(S).is_ybe
+
+
+def test_braid_witness_in_the_third_coordinate_only():
+    """With every sigma_x the identity, r(x,y) = (y, tau_y(x)): both sides of
+    the braid relation start with (z, tau_z(y)), and the third coordinates
+    are tau_z(tau_y(x)) and tau_{tau_z(y)}(tau_z(x)).  These tau maps, found
+    by a seeded search over solutions on three points, break the third."""
+    S = make_solution([(0, 1, 2)] * 3, [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+    report = check_solution(S)
+    assert report == oracle_check_solution(S)
+    assert (report.is_ybe, report.braid_witness) == (False, (0, 0, 0))
 
 
 def test_solution_from_trivial_brace_is_conjugation():
