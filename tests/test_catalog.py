@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import zlib
 from contextlib import contextmanager
 from functools import cache, reduce
 from itertools import chain
@@ -20,6 +21,7 @@ from bracekit.catalog import (
     _generators,
     _lambda_group,
     _relabeling,
+    CACHE_CRC32,
     catalog_invariant_sweep,
     enumerate_braces,
 )
@@ -238,8 +240,8 @@ def test_build_is_deterministic():
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    """Every order's fresh file is served, so its total matches the pinned
-    count that the load checks."""
+    """Every order's fresh file is served: its CRC-32 is the pinned one that
+    the load checks, and every entry reverifies."""
     monkeypatch.setenv("BRACEKIT_CACHE", str(tmp_path / "cachedir"))
     for n in range(1, MAX_ORDER + 1):
         fresh = enumerate_braces(n)
@@ -258,6 +260,8 @@ def test_cache_file_is_the_sorted_dump_of_the_whole_payload(tmp_path, monkeypatc
         payload = {"version": bracekit.__version__, "order": n, "method": "holomorph", "circles": circles}
         path = tmp_path / "cachedir" / f"braces_{n}_holomorph.json"
         assert path.read_text() == json.dumps(payload, sort_keys=True)
+        assert zlib.crc32(path.read_bytes()) == CACHE_CRC32[n - 1], f"CACHE_CRC32[{n - 1}] (order {n})"
+    assert len(CACHE_CRC32) == MAX_ORDER
 
 
 def test_a_new_cache_directory_is_read_and_written_in_the_same_process(tmp_path, monkeypatch):
@@ -344,6 +348,63 @@ def test_cache_with_bool_entries_is_rebuilt(tmp_path, monkeypatch):
     stored = json.loads(path.read_text())["circles"]
     assert stored == [[[[0, 1], [1, 0]]]]
     assert {type(v) for row in stored[0][0] for v in row} == {int}
+
+
+def _non_canonical_copy(c8: list) -> tuple[int, list]:
+    """(i, t): t relabels class i of ``c8`` by an automorphism of C8 and
+    differs from every table in ``c8``."""
+    return next((i, t) for i, c in enumerate(c8) for phi in automorphism_group(cyclic(8))
+                if (t := [list(row) for row in relabel_table(c, phi)]) not in c8)
+
+
+def _add_a_copy_and_drop_a_q8_class(circles: list) -> None:
+    circles[0] = sorted(circles[0] + [_non_canonical_copy(circles[0])[1]])
+    del circles[4][-1]
+
+
+def _swap_a_class_for_a_copy_of_another(circles: list) -> None:
+    i, t = _non_canonical_copy(circles[0])
+    circles[0][i - 1] = t
+    circles[0].sort()
+
+
+@pytest.mark.parametrize("tamper", [_add_a_copy_and_drop_a_q8_class, _swap_a_class_for_a_copy_of_another])
+def test_cache_with_a_non_canonical_class_is_rebuilt(tmp_path, monkeypatch, tamper):
+    """Two files that passed every shape check of the load before the CRC:
+    each group's tables strictly increasing, five groups, 47 tables in all,
+    every one a brace on its group.  (a) C8 gains a non-canonical copy of
+    one of its classes and Q8 loses one, so two C8 entries are isomorphic;
+    (b) one C8 class is swapped for a non-canonical copy of another.  Each
+    is a miss, and is rewritten byte for byte as a fresh build writes it."""
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces(8)
+    path = cachedir / "braces_8_holomorph.json"
+    fresh = path.read_bytes()
+    payload = json.loads(fresh)
+    tamper(payload["circles"])
+    assert all(a < b for c in payload["circles"] for a, b in zip(c, c[1:]))
+    assert sum(map(len, payload["circles"])) == 47
+    path.write_text(json.dumps(payload, sort_keys=True))
+    assert bracekit.catalog._load_cached(8) is None
+    assert enumerate_braces(8) == _build_catalog(8)
+    assert path.read_bytes() == fresh
+
+
+def test_cache_with_the_pinned_crc_is_still_verified(tmp_path, monkeypatch):
+    """A writer who forges a file with the pinned CRC, modelled by pinning
+    the CRC of a file whose table holds JSON true and false, still gets a
+    miss: every entry is verified against its group after the CRC."""
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces(2)
+    path = cachedir / "braces_2_holomorph.json"
+    payload = json.loads(path.read_text())
+    payload["circles"] = [[[[0, True], [True, False]]]]
+    path.write_text(json.dumps(payload, sort_keys=True))
+    forged = (CACHE_CRC32[0], zlib.crc32(path.read_bytes()), *CACHE_CRC32[2:])
+    monkeypatch.setattr(bracekit.catalog, "CACHE_CRC32", forged)
+    assert bracekit.catalog._load_cached(2) is None
 
 
 def test_cache_cannot_relabel_an_additive_group(tmp_path, monkeypatch):

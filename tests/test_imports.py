@@ -96,7 +96,8 @@ def _modules_loaded_by(code: str, names: set, env: dict) -> list:
 
 def test_cli_start_up_loads_no_dataclasses():
     """``import bracekit.cli`` loads none of ``dataclasses``, ``inspect``,
-    ``hashlib``, ``pickle``, ``concurrent.futures`` or ``multiprocessing``.
+    ``hashlib``, ``zlib``, ``pickle``, ``concurrent.futures`` or
+    ``multiprocessing``.
 
     Every CLI command is its own process and pays the package import
     first; ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``)
@@ -104,7 +105,7 @@ def test_cli_start_up_loads_no_dataclasses():
     every command (``hashlib`` alone ~3.6 MB on CPython 3.11).
     """
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    names = {"dataclasses", "inspect", "hashlib", "pickle", "concurrent.futures",
+    names = {"dataclasses", "inspect", "hashlib", "zlib", "pickle", "concurrent.futures",
              "multiprocessing"}
     assert _modules_loaded_by("import bracekit.cli", names, env) == []
 
