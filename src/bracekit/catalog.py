@@ -181,9 +181,10 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
     missing or unreadable file.  The CRC catches an accidental change: a
     corrupt, stale or foreign file, or a class that is not canonical, is
     repeated, dropped or moved.  It does not stop a writer who forges a file
-    with the pinned CRC, so each table is still verified as a brace on G's
-    own table, and one that fails, such as one with a JSON ``true`` or
-    ``false`` entry, makes the file a miss: whatever is served is a brace.
+    with the pinned CRC, so the lists must still match ``groups_of_order(n)``
+    one for one, and each table is still verified as a brace on G's own
+    table; a file that fails either, such as one with a JSON ``true`` or
+    ``false`` entry, is a miss: whatever is served is a brace.
     """
     import zlib  # only a cache lookup needs it, not the import of the CLI
 
@@ -192,7 +193,7 @@ def _load_cached(n: int) -> Optional[BraceCatalog]:
         if zlib.crc32(data) != CACHE_CRC32[n - 1]:
             return None
         circles, groups = json.loads(data)["circles"], groups_of_order(n)
-        return _catalog(n, groups, [[verify_brace(G.table, t) for t in c] for c, (_, G) in zip(circles, groups)])
+        return _catalog(n, groups, [[verify_brace(G.table, t) for t in c] for c, (_, G) in zip(circles, groups, strict=True)])
     except (OSError, LookupError, TypeError, ValueError, RecursionError):
         return None
 

@@ -9,7 +9,7 @@ never an expected outcome.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .braces import (
@@ -135,13 +135,12 @@ def is_perfect(A: SkewBrace) -> bool:
 
 
 def solvable_series(A: SkewBrace) -> SolvableSeries:
-    """A_1 = A, A_{i+1} = A_i * A_i, until stable."""
-    terms = [_full(A)]
-    while True:
-        nxt = star_product(A, terms[-1], terms[-1])
-        if nxt == terms[-1]:
-            return SolvableSeries(tuple(terms))
+    """A_1 = A, A_{i+1} = A_i * A_i, until stable; A_2 is ``a2(A)``."""
+    terms, nxt = [_full(A)], a2(A)
+    while nxt != terms[-1]:
         terms.append(nxt)
+        nxt = star_product(A, nxt, nxt)
+    return SolvableSeries(tuple(terms))
 
 
 def is_solvable(A: SkewBrace) -> bool:
@@ -186,10 +185,11 @@ def weight(A: SkewBrace) -> WeightCertificate:
 def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     """A/Rad(A) as a verified direct product of simple braces.
 
-    Picks maximal ideals of B = A/Rad(A) greedily, each M not containing
-    the intersection I of those already picked, until I = 0; then builds the
-    product isomorphism componentwise and verifies bijectivity, factor
-    simplicity and preservation of both operations.
+    Picks maximal ideals M of B = A/Rad(A) greedily, each not containing the
+    meet I of those picked before, until I = 0, and with each checks B/M
+    simple and extends the mixed-radix index of B's elements by their cosets
+    in B/M; then verifies the index bijective onto the product of the
+    factors and preserving both operations.
 
     The family is irredundant.  M is maximal and I ⊄ M, so I + M = B, and
     then B/(I∩M) ≅ B/I × B/M; by induction |B/∩family| = ∏|B/Mᵢ|.  Any
@@ -199,37 +199,22 @@ def wedderburn_decompose(A: SkewBrace) -> Decomposition:
     is not zero.
     """
     B, _ = _brace_cosets(A, radical_set(A))  # Rad(A) is A or a meet of lattice ideals
-    zero = frozenset({0})
     family: list[frozenset[int]] = []
-    inter = _full(B)
+    factors: list[SkewBrace] = []
+    inter, mapping = _full(B), [0] * B.order
     for M in maximal_ideals(B):
-        if inter & M != inter:
+        if not inter <= M:
             family.append(M)
             inter &= M
-        if inter == zero:
-            break
-    if inter != zero:
+            F, proj = _brace_cosets(B, M)  # M is a maximal ideal, from the lattice
+            if not is_simple(F):
+                raise AssertionError("quotient by a maximal ideal must be simple")
+            factors.append(F)
+            mapping = [m * F.order + p for m, p in zip(mapping, proj)]
+    if inter != frozenset({0}):
         raise AssertionError("Rad(A/Rad(A)) must be zero")
 
-    factors = []
-    projections = []
-    for M in family:
-        F, proj = _brace_cosets(B, M)  # M is a maximal ideal, from the lattice
-        if not is_simple(F):
-            raise AssertionError("quotient by a maximal ideal must be simple")
-        factors.append(F)
-        projections.append(proj)
-
-    product = factors[0] if factors else zero_brace()
-    for F in factors[1:]:
-        product = direct_product(product, F)
-
-    mapping = []
-    for x in B.elements():
-        idx = 0
-        for F, proj in zip(factors, projections):
-            idx = idx * F.order + proj[x]
-        mapping.append(idx)
+    product = reduce(direct_product, factors[1:], factors[0]) if factors else zero_brace()
     iso = BraceMorphism(tuple(mapping), B.order, product.order)
     if not iso.is_bijective:
         raise AssertionError("decomposition map is not bijective")

@@ -10,6 +10,7 @@ import pytest
 
 from bracekit.braces import (
     BraceAxiomError,
+    BraceMorphism,
     CheckReport,
     SkewBrace,
     brace_isomorphic,
@@ -17,6 +18,7 @@ from bracekit.braces import (
     semidirect_product,
     trivial_brace,
     verify_brace,
+    zero_brace,
 )
 from bracekit.catalog import _classes, _relabeling
 from bracekit.groups import (
@@ -27,13 +29,14 @@ from bracekit.groups import (
     automorphism_group,
     commutator_subgroup,
     generating_sequence,
+    preserves,
     relabel_table,
     subgroup_closure,
     verify_group_axioms,
 )
 from bracekit.grouptables import cyclic, dihedral, direct_product_group, groups_of_order
-from bracekit.ideals import a2, annihilator, maximal_ideals, socle
-from bracekit.invariants import is_perfect, radical_set, weight
+from bracekit.ideals import _brace_cosets, a2, annihilator, maximal_ideals, socle, star_product
+from bracekit.invariants import Decomposition, _full, is_perfect, is_simple, radical_set, weight
 from bracekit.ybe import SetSolution, SolutionReport, is_nondegenerate
 
 
@@ -491,6 +494,67 @@ def oracle_check_gaschutz(A: SkewBrace, ideals=maximal_ideals) -> CheckReport:
     if not (a2(A) & soc) <= radical_set(A):
         return CheckReport("gaschutz", "fail", (("part", "intersection"),))
     return CheckReport("gaschutz", "pass")
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier bodies of the decomposition and the solvable series,
+# kept as oracles for the one-pass decomposition and the series that starts
+# at the memoized A^(2)
+
+
+def oracle_wedderburn_decompose(A: SkewBrace) -> Decomposition:
+    """``wedderburn_decompose`` with its factors, their product and the index
+    of each element built in three passes, each over the picked family."""
+    B, _ = _brace_cosets(A, radical_set(A))  # Rad(A) is A or a meet of lattice ideals
+    zero = frozenset({0})
+    family: list[frozenset[int]] = []
+    inter = _full(B)
+    for M in maximal_ideals(B):
+        if inter & M != inter:
+            family.append(M)
+            inter &= M
+        if inter == zero:
+            break
+    if inter != zero:
+        raise AssertionError("Rad(A/Rad(A)) must be zero")
+
+    factors = []
+    projections = []
+    for M in family:
+        F, proj = _brace_cosets(B, M)  # M is a maximal ideal, from the lattice
+        if not is_simple(F):
+            raise AssertionError("quotient by a maximal ideal must be simple")
+        factors.append(F)
+        projections.append(proj)
+
+    product = factors[0] if factors else zero_brace()
+    for F in factors[1:]:
+        product = direct_product(product, F)
+
+    mapping = []
+    for x in B.elements():
+        idx = 0
+        for F, proj in zip(factors, projections):
+            idx = idx * F.order + proj[x]
+        mapping.append(idx)
+    iso = BraceMorphism(tuple(mapping), B.order, product.order)
+    if not iso.is_bijective:
+        raise AssertionError("decomposition map is not bijective")
+    if not (preserves(mapping, B.add.table, product.add.table)
+            and preserves(mapping, B.circle.table, product.circle.table)):
+        raise AssertionError("decomposition map does not preserve the operations")
+    return Decomposition(tuple(factors), iso, tuple(family), B, product)
+
+
+def oracle_solvable_series(A: SkewBrace) -> tuple[frozenset[int], ...]:
+    """The terms of A_1 = A, A_{i+1} = A_i * A_i, every step, the second
+    too, computed with ``star_product``."""
+    terms = [_full(A)]
+    while True:
+        nxt = star_product(A, terms[-1], terms[-1])
+        if nxt == terms[-1]:
+            return tuple(terms)
+        terms.append(nxt)
 
 
 # ---------------------------------------------------------------------------

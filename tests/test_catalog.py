@@ -407,6 +407,32 @@ def test_cache_with_the_pinned_crc_is_still_verified(tmp_path, monkeypatch):
     assert bracekit.catalog._load_cached(2) is None
 
 
+def _drop_the_q8_list(circles: list) -> None:
+    del circles[4]
+
+
+def _append_a_sixth_list(circles: list) -> None:
+    circles.append(circles[0])
+
+
+@pytest.mark.parametrize("tamper", [_drop_the_q8_list, _append_a_sixth_list])
+def test_cache_with_the_pinned_crc_needs_one_list_per_group(tmp_path, monkeypatch, tamper):
+    """Forged files with the pinned CRC whose lists of tables do not match
+    the five groups of order 8 one for one.  Without Q8's list the file was
+    served as the 39 braces of the other four groups; with a sixth list
+    appended, as the 47 braces, the extra list unread.  Each is a miss."""
+    cachedir = tmp_path / "cachedir"
+    monkeypatch.setenv("BRACEKIT_CACHE", str(cachedir))
+    enumerate_braces(8)
+    path = cachedir / "braces_8_holomorph.json"
+    payload = json.loads(path.read_text())
+    tamper(payload["circles"])
+    path.write_text(json.dumps(payload, sort_keys=True))
+    forged = (*CACHE_CRC32[:7], zlib.crc32(path.read_bytes()), *CACHE_CRC32[8:])
+    monkeypatch.setattr(bracekit.catalog, "CACHE_CRC32", forged)
+    assert bracekit.catalog._load_cached(8) is None
+
+
 def test_cache_cannot_relabel_an_additive_group(tmp_path, monkeypatch):
     """A file in the layout that stored each entry's additive table and name:
     entry 0, on C8, relabeled by a permutation that is no automorphism of

@@ -6,7 +6,7 @@ from bracekit import invariants
 from bracekit.braces import brace_isomorphic, trivial_brace, zero_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
-from bracekit.ideals import all_ideals, ideal_closure, quotient_brace
+from bracekit.ideals import all_ideals, ideal_closure, maximal_ideals, quotient_brace
 from bracekit.invariants import (
     _subset_search,
     brace_report,
@@ -41,6 +41,8 @@ from conftest import (
     oracle_check_gaschutz,
     oracle_ideal_closure,
     oracle_schur_embedding,
+    oracle_solvable_series,
+    oracle_wedderburn_decompose,
     order_16_classes,
 )
 
@@ -178,6 +180,30 @@ def test_wedderburn_product_isomorphic_to_quotient():
     assert brace_isomorphic(D.semisimple_quotient, D.product) is not None
 
 
+# Each guard of ``wedderburn_decompose``, reached by replacing the one name of
+# ``invariants`` it reads on the trivial brace of C2×C2, catalog entry (4, 2),
+# whose decomposition has two factors: (name, replacement, message).
+WEDDERBURN_GUARDS = {
+    "simple": ("is_simple", lambda A: False, "quotient by a maximal ideal must be simple"),
+    "bijective": ("direct_product", lambda A, B: A, "decomposition map is not bijective"),
+    "preserves": ("preserves", lambda mapping, source, target: False,
+                  "decomposition map does not preserve the operations"),
+    "radical": ("maximal_ideals", lambda A: maximal_ideals(A)[:1], "Rad(A/Rad(A)) must be zero"),
+}
+
+
+@pytest.mark.parametrize("name, replacement, message", WEDDERBURN_GUARDS.values(),
+                         ids=WEDDERBURN_GUARDS)
+def test_wedderburn_guards_raise_their_messages(name, replacement, message, monkeypatch):
+    A = enumerate_braces(4).braces[2]
+    # also memoizes ``radical_set(A)``, which reads ``maximal_ideals``
+    assert len(wedderburn_decompose(A).factors) == 2
+    monkeypatch.setattr(invariants, name, replacement)
+    with pytest.raises(AssertionError) as exc:
+        wedderburn_decompose(A)
+    assert str(exc.value) == message
+
+
 def test_theorem_checks_pass_on_examples(ring_brace, s3_brace):
     for A in (ring_brace, s3_brace, trivial_brace(klein_group()), zero_brace()):
         for rep in theorem_checks(A):
@@ -302,6 +328,18 @@ def test_gaschutz_matches_the_ideal_sum_oracle(monkeypatch):
     reports = list(map(check_gaschutz, braces))
     assert reports == [oracle_check_gaschutz(A, all_ideals) for A in braces]
     assert {r.status for r in reports} == {"pass", "fail"}
+
+
+def test_wedderburn_and_series_match_the_earlier_bodies():
+    """Every field of the one-pass decomposition, and every term of the
+    series that starts at ``a2``, equal those of the earlier bodies."""
+    braces = _catalog_braces_to_12()
+    braces += [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
+    for A in braces:
+        D, oracle = wedderburn_decompose(A), oracle_wedderburn_decompose(A)
+        for field in ("factors", "iso", "maximal_ideals", "semisimple_quotient", "product"):
+            assert getattr(D, field) == getattr(oracle, field), field
+        assert solvable_series(A).terms == oracle_solvable_series(A)
 
 
 def test_radical_report_carries_the_non_generators_at_every_order():
