@@ -21,7 +21,6 @@ from .groups import (
     _semidirect_group,
     element_orders,
     generating_sequence,
-    is_abelian,
     preserves,
     search_maps,
     verify_group_axioms,
@@ -229,14 +228,10 @@ def _brace_maps(A: SkewBrace, B: SkewBrace, prof_a: Sequence[tuple[int, int]],
 def brace_isomorphic(A: SkewBrace, B: SkewBrace) -> Optional[BraceMorphism]:
     """Search for a bijection preserving both operations.
 
-    Canonicalizes by cheap invariants first (order, abelian flags, the
-    multiset of per-element order pairs), then maps an additive generating
-    sequence of A with pruning by order pairs.
+    The only pre-filter is the multiset of per-element (additive,
+    multiplicative) order pairs; from order 16 on the search decides.  It
+    maps an additive generating sequence of A with pruning by order pairs.
     """
-    if A.order != B.order:
-        return None
-    if is_abelian(A.add) != is_abelian(B.add) or is_abelian(A.circle) != is_abelian(B.circle):
-        return None
     prof_a, prof_b = _element_profile(A), _element_profile(B)
     if sorted(prof_a) != sorted(prof_b):
         return None

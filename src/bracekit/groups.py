@@ -229,7 +229,6 @@ def _nonassociative(table: tuple[tuple[int, ...], ...], bs: Sequence[int]) -> Op
     return None
 
 
-@lru_cache(maxsize=None)
 def is_abelian(G: FiniteGroup) -> bool:
     return all(
         G.table[a][b] == G.table[b][a]

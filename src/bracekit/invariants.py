@@ -357,30 +357,18 @@ def schur_embedding(A: SkewBrace) -> CheckReport:
     gens = generating_sequence(A.add)
     gens += tuple(g for g in generating_sequence(A.circle) if g not in gens)
 
-    def image(a: int) -> tuple:
-        out = []
-        for x in gens:
-            out.append(A.star(a, x))
-        for x in gens:
-            out.append(A.star(x, a))
-        for x in gens:
-            out.append(A.add.commutator(a, x))
-        return tuple(out)
-
     # Ann(A) ⊆ Soc(A) ⊆ Z(A,+), so it is a normal subgroup of (A,+)
     coset_of = _cosets(A.add, annihilator(A))[1]
-    by_coset: dict[int, set[tuple]] = {}
-    for a in A.elements():
-        by_coset.setdefault(coset_of[a], set()).add(image(a))
-    for label, images in by_coset.items():
-        if len(images) != 1:
+    images: dict[int, tuple] = {}  # the first image of each coset, walked in label order
+    for a in sorted(A.elements(), key=coset_of.__getitem__):
+        image = tuple((A.star(a, x), A.star(x, a), A.add.commutator(a, x)) for x in gens)
+        if images.setdefault(coset_of[a], image) != image:
             return CheckReport("schur-embedding", "fail",
-                               (("part", "well-defined"), ("coset", label)))
-    values = [next(iter(images)) for _, images in sorted(by_coset.items())]
-    if len(set(values)) != len(values):
+                               (("part", "well-defined"), ("coset", coset_of[a])))
+    if len(set(images.values())) != len(images):
         return CheckReport("schur-embedding", "fail", (("part", "injective"),))
     return CheckReport("schur-embedding", "pass",
-                       (("cosets", len(values)), ("generators", gens)))
+                       (("cosets", len(images)), ("generators", gens)))
 
 
 def theorem_checks(A: SkewBrace, desc_bound: int = DEFAULT_ORDER_BOUND) -> tuple[CheckReport, ...]:

@@ -24,6 +24,7 @@ from bracekit.catalog import _classes, _relabeling
 from bracekit.groups import (
     FiniteGroup,
     GroupAxiomError,
+    _cosets,
     _raw_identity,
     all_normal_subgroups,
     automorphism_group,
@@ -555,6 +556,43 @@ def oracle_solvable_series(A: SkewBrace) -> tuple[frozenset[int], ...]:
         if nxt == terms[-1]:
             return tuple(terms)
         terms.append(nxt)
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier Schur embedding body, which stored every image of
+# every coset before deciding, kept as an oracle for the one-pass check
+
+
+def oracle_schur_report(A: SkewBrace, annihilator=annihilator) -> CheckReport:
+    """``schur_embedding`` with a set of images per coset, then the sorted
+    first images; ``annihilator`` stands in for Ann(A) when a test gives one."""
+    gens = generating_sequence(A.add)
+    gens += tuple(g for g in generating_sequence(A.circle) if g not in gens)
+
+    def image(a: int) -> tuple:
+        out = []
+        for x in gens:
+            out.append(A.star(a, x))
+        for x in gens:
+            out.append(A.star(x, a))
+        for x in gens:
+            out.append(A.add.commutator(a, x))
+        return tuple(out)
+
+    # Ann(A) ⊆ Soc(A) ⊆ Z(A,+), so it is a normal subgroup of (A,+)
+    coset_of = _cosets(A.add, annihilator(A))[1]
+    by_coset: dict[int, set[tuple]] = {}
+    for a in A.elements():
+        by_coset.setdefault(coset_of[a], set()).add(image(a))
+    for label, images in by_coset.items():
+        if len(images) != 1:
+            return CheckReport("schur-embedding", "fail",
+                               (("part", "well-defined"), ("coset", label)))
+    values = [next(iter(images)) for _, images in sorted(by_coset.items())]
+    if len(set(values)) != len(values):
+        return CheckReport("schur-embedding", "fail", (("part", "injective"),))
+    return CheckReport("schur-embedding", "pass",
+                       (("cosets", len(values)), ("generators", gens)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 from functools import cache
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bracekit.braces import (
     BraceAxiomError,
     SkewBrace,
+    _element_profile,
     _incompatible,
     brace_automorphism_group,
     brace_isomorphic,
@@ -26,9 +28,13 @@ from bracekit.groups import (
     FiniteGroup,
     GroupAxiomError,
     _cosets,
+    _semidirect_group,
     abelian_invariants,
     generating_sequence,
+    is_abelian,
+    preserves,
     quotient_group,
+    relabel_table,
     verify_group_axioms,
 )
 from bracekit.grouptables import cyclic, dihedral, direct_product_group
@@ -135,6 +141,27 @@ def test_isomorphic_to_self(ring_brace):
 
 def test_non_isomorphic_additive_groups():
     assert brace_isomorphic(trivial_brace(cyclic(4)), trivial_brace(klein_group())) is None
+
+
+def test_search_tells_apart_equal_profiles_of_different_groups():
+    """The trivial braces of C4×C4 and C4⋊C4 have the same sorted element
+    profile, and only the first is abelian: with the profile as the only
+    pre-filter, the search finds no isomorphism in either direction, and it
+    finds one from each brace to a seeded relabeled copy of itself."""
+    C = cyclic(4)
+    A = trivial_brace(direct_product_group(C, C))
+    B = trivial_brace(_semidirect_group(C, C, [tuple(C.elements()), C.inverse] * 2))
+    assert sorted(_element_profile(A)) == sorted(_element_profile(B))
+    assert is_abelian(A.add) and not is_abelian(B.add)
+    assert brace_isomorphic(A, B) is None and brace_isomorphic(B, A) is None
+    rng = random.Random(16)
+    for X in (A, B):
+        perm = (0, *rng.sample(range(1, 16), 15))
+        Y = verify_brace(relabel_table(X.add.table, perm), relabel_table(X.circle.table, perm))
+        iso = brace_isomorphic(X, Y)
+        assert iso is not None and iso.is_bijective
+        assert preserves(iso.mapping, X.add.table, Y.add.table)
+        assert preserves(iso.mapping, X.circle.table, Y.circle.table)
 
 
 def _relabeled(A, perm):

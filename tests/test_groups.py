@@ -288,6 +288,19 @@ def test_semidirect_groups_of_order_16(build, orders):
     assert Counter(element_orders(G)) == orders
 
 
+def test_sorted_element_orders_tell_the_built_in_groups_apart():
+    """Up to ``MAX_ORDER`` the groups of one order have pairwise distinct
+    sorted element orders, so braces with equal sorted element profiles have
+    isomorphic additive and isomorphic multiplicative groups.  At order 16
+    C4×C4 and C4⋊C4 share theirs."""
+    for n in range(1, MAX_ORDER + 1):
+        orders = [tuple(sorted(element_orders(G))) for _, G in groups_of_order(n)]
+        assert len(set(orders)) == len(orders), n
+    C = cyclic(4)
+    assert sorted(element_orders(direct_product_group(C, C))) == \
+        sorted(element_orders(_semidirect_group(C, C, [tuple(C.elements()), C.inverse] * 2)))
+
+
 def test_abelian_invariants_and_signature():
     assert abelian_invariants(cyclic(6)) == (6,)
     assert abelian_invariants(klein_group()) == (2, 2)

@@ -5,6 +5,7 @@ import pytest
 from bracekit import invariants
 from bracekit.braces import brace_isomorphic, trivial_brace, zero_brace
 from bracekit.catalog import _build_catalog, enumerate_braces
+from bracekit.groups import all_normal_subgroups
 from bracekit.grouptables import MAX_ORDER, cyclic, dihedral, direct_product_group
 from bracekit.ideals import all_ideals, ideal_closure, maximal_ideals, quotient_brace
 from bracekit.invariants import (
@@ -41,6 +42,7 @@ from conftest import (
     oracle_check_gaschutz,
     oracle_ideal_closure,
     oracle_schur_embedding,
+    oracle_schur_report,
     oracle_solvable_series,
     oracle_wedderburn_decompose,
     order_16_classes,
@@ -328,6 +330,24 @@ def test_gaschutz_matches_the_ideal_sum_oracle(monkeypatch):
     reports = list(map(check_gaschutz, braces))
     assert reports == [oracle_check_gaschutz(A, all_ideals) for A in braces]
     assert {r.status for r in reports} == {"pass", "fail"}
+
+
+def test_schur_embedding_matches_the_earlier_body(monkeypatch):
+    """The one-pass check gives the reports, status and details, of the
+    earlier body: on the catalogs to order 12, on the order-16 classes, and
+    with each additive normal subgroup of a catalog brace standing in for
+    Ann(A).  Several cosets fail at once in some of the stand-in cases, and
+    both report the least failing label, that of the stand-in itself."""
+    braces = _catalog_braces_to_12()
+    order_16 = [A for name in ORDER_16_GROUPS for A in order_16_classes(name)]
+    assert [schur_embedding(A) for A in braces + order_16] == list(map(oracle_schur_report, braces + order_16))
+    reports = []
+    for A in braces:
+        for N in all_normal_subgroups(A.add):
+            monkeypatch.setattr(invariants, "annihilator", lambda B: N)
+            reports.append(schur_embedding(A))
+            assert reports[-1] == oracle_schur_report(A, lambda B: N), (A, sorted(N))
+    assert {dict(r.details).get("part") for r in reports} == {None, "well-defined", "injective"}
 
 
 def test_wedderburn_and_series_match_the_earlier_bodies():
