@@ -8,13 +8,23 @@ Invalid input is recognized where it enters: a bad file, a table failing a
 group or brace axiom, an order without a catalog, a degenerate solution
 given to a command that needs a non-degenerate one, or an output path that
 cannot be written.  Any other exception, a stray ``ValueError`` from inside
-the library included, exits 4.  A reader that closes stdout before a JSON
-payload is written, as ``| head`` may, drops the rest of it but does not
-change the exit code.
+the library included, exits 4.
+
+A command process (``python -m bracekit.cli`` or the ``bracekit`` console
+script) runs ``main`` through ``_run``.  A reader that closes its stdout, as
+``| head`` may, drops the rest of the output, JSON or text, but does not
+change the exit code.  Once ``main`` returns, ``_run`` calls the ``atexit``
+callbacks, flushes stdout and stderr and ends the process with ``os._exit``,
+skipping the interpreter's teardown: every file a command writes is closed
+before ``main`` returns, and the forked sweep workers have been reaped.  If a
+flush fails, or the interpreter has no ``atexit._run_exitfuncs``, it exits
+through ``sys.exit`` instead.  Called in-process, ``main`` only returns the
+exit code: stdout and the interpreter's teardown are left as they are.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from contextlib import contextmanager
@@ -56,13 +66,7 @@ def _emit(payload, out: Optional[str] = None, what: str = "") -> None:
             dump(payload, fp)
         print(f"wrote {what} to {out}")
     else:
-        try:
-            dump(payload, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader is gone (see the module docstring).  What is still
-            # buffered goes to os.devnull, so the flush at exit cannot fail.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        dump(payload, sys.stdout)
 
 
 def _cmd_verify(args) -> int:
@@ -457,5 +461,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+class _Stdout:
+    """``sys.stdout`` of a command process: after the first
+    ``BrokenPipeError`` (the reader is gone) file descriptor 1 is
+    ``os.devnull``, so every later write and flush, of what is still
+    buffered too, succeeds and the command runs on to its own exit code."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self._stream.fileno())
+            os.close(devnull)
+            return method(*args)
+
+    def write(self, text):
+        return self._call(self._stream.write, text)
+
+    def flush(self):
+        return self._call(self._stream.flush)
+
+
+def _run() -> None:
+    """The command process: ``main``, then the exit the module docstring
+    describes.  Help and usage errors leave through argparse's
+    ``SystemExit`` and the usual teardown."""
+    sys.stdout = _Stdout(sys.stdout)
+    code = main()
+    try:
+        atexit._run_exitfuncs()  # reports, never raises, a callback's error
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a failed flush, or no _run_exitfuncs outside CPython
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

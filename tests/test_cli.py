@@ -507,6 +507,84 @@ def test_stdout_closed_by_its_reader_keeps_the_exit_code():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def _command_process(args, unbuffered=False, stdout=subprocess.PIPE):
+    """``python -m bracekit.cli ARGS`` (or ``python ARGS`` when ``args``
+    starts with ``-c``) with its stdout block-buffered, or unbuffered as
+    ``PYTHONUNBUFFERED=1`` makes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = args if args[0] == "-c" else ["-m", "bracekit.cli", *args]
+    return subprocess.run([sys.executable, *command], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", ["enumerate 12", "theoremcheck corpus:12"])
+def test_text_output_to_a_closed_stdout_keeps_the_exit_code(argv, unbuffered):
+    """A text command whose reader has closed stdout runs on to its own exit
+    code, with no ``Exception ignored`` (exit 120) at the final flush and
+    no ``internal error`` (exit 4) at a ``print``."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _command_process(argv.split(), unbuffered, stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_command_process_writes_the_stdout_of_main_in_full(capsys):
+    """The process flushes all of stdout before ``os._exit``: ``sweep 8
+    --jobs 2`` (several 8 KB buffers) and ``theoremcheck corpus:12 --json``
+    print the bytes that ``main`` prints in-process."""
+    for argv in (["sweep", "8", "--jobs", "2"], ["theoremcheck", "corpus:12", "--json"]):
+        proc = _command_process(argv)
+        assert main(argv) == proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out.encode() and proc.stderr == b""
+    assert len(_command_process(["sweep", "8", "--jobs", "2"]).stdout) > 8192
+
+
+def test_command_process_writes_the_files_of_main_in_full(tmp_path, capsys):
+    """``sweep 8 --jobs 2 --out`` and every file of ``enumerate 3 --out`` are
+    the bytes that ``main`` writes in-process."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    assert main(["sweep", "8", "--jobs", "2", "--out", str(here)]) == 0
+    assert _command_process(["sweep", "8", "--jobs", "2", "--out", str(there)]).returncode == 0
+    assert here.read_bytes() == there.read_bytes()
+    here, there = tmp_path / "braces_here", tmp_path / "braces_there"
+    assert main(["enumerate", "3", "--out", str(here)]) == 0
+    assert _command_process(["enumerate", "3", "--out", str(there)]).returncode == 0
+    files = sorted(p.name for p in here.iterdir())
+    assert files == sorted(p.name for p in there.iterdir()) and "manifest.json" in files
+    for name in files:
+        assert (here / name).read_bytes() == (there / name).read_bytes()
+
+
+def test_command_process_exit_codes_of_invalid_input_bound_and_usage(tmp_path):
+    """Exit codes 2 (a malformed file, a usage error) and 3 (a file that
+    declares order 257) come through the process with their stderr."""
+    malformed, big = tmp_path / "malformed.json", tmp_path / "big.json"
+    malformed.write_text("{not json")
+    big.write_text(json.dumps({"order": 257, "add": [], "circle": []}))
+    for argv, code, err in ((["verify", str(malformed)], 2, b"invalid input:"),
+                            (["verify", str(big)], 3, b"bound exceeded:"),
+                            (["frob"], 2, b"usage: bracekit")):
+        proc = _command_process(argv)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.startswith(err)
+
+
+def test_command_process_runs_the_atexit_callbacks():
+    """An ``atexit`` callback that a launcher registered before running the
+    module still runs, and what it prints is flushed."""
+    launcher = ("import atexit, runpy; atexit.register(print, 'atexit marker'); "
+                "runpy.run_module('bracekit.cli', run_name='__main__')")
+    proc = _command_process(["-c", launcher, "enumerate", "3"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"order 3: ") and proc.stdout.endswith(b"\natexit marker\n")
+
+
 def _outcome(argv, capsys):
     """Exit code, stdout and stderr of one in-process call; a usage error
     exits through ``SystemExit``, as it does from the console."""
