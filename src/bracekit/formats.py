@@ -26,15 +26,15 @@ class InputFormatError(ValueError):
 
 def _load_json(path: Union[str, Path]) -> dict:
     """The JSON object in the file at ``path``.  A file that cannot be read,
-    is not UTF-8 text, is not JSON or nests deeper than the parser's
-    recursion limit is invalid input."""
+    is not UTF-8 text, is not JSON (an integer over CPython's digit limit
+    too) or nests deeper than the parser's recursion limit is invalid input."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InputFormatError(f"{path} nests JSON too deeply to parse") from None

@@ -257,29 +257,11 @@ def center(G: FiniteGroup) -> frozenset[int]:
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Least subgroup containing ``seed``.
-
-    Grows the set of products of seed elements breadth-first, multiplying
-    each new member on the right by the seed elements only.  In a finite
-    group every element has finite order, so s^-1 = s^(k-1) is itself a
-    product of seeds and the products already form the generated subgroup.
-    The cost is O(|H|·|seed|) table lookups.
-    """
-    gens = set(seed)
-    gens.discard(0)
-    members = {0}
-    frontier = [0]
-    while frontier:
-        grown = []
-        for x in frontier:
-            row = G.table[x]
-            for g in gens:
-                z = row[g]
-                if z not in members:
-                    members.add(z)
-                    grown.append(z)
-        frontier = grown
-    return frozenset(members)
+    """Least subgroup containing ``seed``: the ``orbit`` of the identity
+    under right multiplication by the seeds.  In a finite group every
+    inverse is a positive power, so that orbit is the subgroup they
+    generate."""
+    return frozenset(orbit(0, tuple(set(seed) - {0}), lambda x, g: G.table[x][g], G.order))
 
 
 def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
@@ -475,10 +457,10 @@ def orbit(start, gens: Sequence, step: Callable, bound: int) -> Optional[list]:
     ``gens``, breadth-first and ``start`` first, or None as soon as a step
     stores value number ``bound + 1``.  For bijections of a finite set this
     is the orbit of ``start`` under the group they generate (inverses are
-    positive powers).  ``subgroup_closure`` keeps its own loop, since a
-    step call per lookup made it ~35% slower; ``element_orders`` its own,
-    since through ``orbit`` it was ~6× slower; and ``extend_hom`` its own,
-    since it carries and checks an image per value.
+    positive powers).  ``element_orders`` keeps its own loop, since
+    through ``orbit`` it was ~6× slower on the built-in groups and its memo
+    misses on every relabeled group that ``files`` loads; ``extend_hom``
+    its own, since it carries and checks an image per value.
     """
     seen = {start}
     reached = [start]

@@ -359,8 +359,10 @@ def test_json_booleans_exit_2(command, payload, tmp_path, capsys):
     assert "false" not in captured.out
 
 
-# Bytes that are not UTF-8, and JSON nested past the parser's recursion limit.
-HOSTILE_FILES = {"not-utf-8": b"\xff\xfe\x00", "over-deep": b"[" * 100000}
+# Bytes that are not UTF-8, JSON nested past the parser's recursion limit, and
+# an integer literal over CPython's 4,300-digit limit for int().
+HOSTILE_FILES = {"not-utf-8": b"\xff\xfe\x00", "over-deep": b"[" * 100000,
+                 "over-long-int": b'{"order": ' + b"9" * 5000 + b"}"}
 
 
 @pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)

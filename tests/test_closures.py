@@ -4,6 +4,7 @@ The oracles in conftest.py are the earlier worklist, fixpoint and
 all-subsets versions; every test here demands identical results.
 """
 
+import itertools
 from functools import cache, reduce
 
 import pytest
@@ -24,6 +25,7 @@ from bracekit.ideals import (
 from bracekit.invariants import non_generators
 
 from conftest import (
+    ORDER_16_GROUPS,
     oracle_all_ideals,
     oracle_all_normal_subgroups,
     oracle_ideal_closure,
@@ -119,12 +121,28 @@ def test_all_normal_subgroups_of_order_16_match_oracle(build):
     assert all_normal_subgroups(G) == oracle_all_normal_subgroups(G)
 
 
-@pytest.mark.parametrize("orders", [tuple(SMALL_ORDERS), (12,)], ids=["le8", "12"])
-def test_single_element_closures_match_oracle(orders):
-    for G in catalog_groups(orders):
-        for x in G.elements():
-            assert subgroup_closure(G, [x]) == oracle_subgroup_closure(G, [x])
-            assert normal_closure(G, [x]) == oracle_normal_closure(G, [x])
+def order_16_groups() -> tuple:
+    """The non-abelian groups of order 16 above, the abelian ones of
+    conftest.py and C2⁴."""
+    builds = [*ORDER_16_NONABELIAN.values(), *ORDER_16_GROUPS.values(),
+              lambda: reduce(direct_product_group, [cyclic(2)] * 4)]
+    return tuple(build() for build in builds)
+
+
+CLOSURE_GROUPS = {
+    "le8": lambda: catalog_groups(tuple(SMALL_ORDERS)),
+    "12": lambda: catalog_groups((12,)),
+    "16": order_16_groups,
+}
+
+
+@pytest.mark.parametrize("groups", CLOSURE_GROUPS.values(), ids=CLOSURE_GROUPS)
+def test_single_element_closures_match_oracle(groups):
+    """Every element, as the pair (x, x), and every pair of elements as a seed."""
+    for G in groups():
+        for seed in itertools.combinations_with_replacement(G.elements(), 2):
+            assert subgroup_closure(G, seed) == oracle_subgroup_closure(G, seed)
+            assert normal_closure(G, seed) == oracle_normal_closure(G, seed)
 
 
 def _group_and_seed(data):
